@@ -1,115 +1,87 @@
 """Size guards.
 
 Everything here is about refusing work whose cost is exponential in the
-carrier or the number of opens.  T0KIT_CAP overrides the defaults:
-either "N" (carrier cap) or "N,M" (carrier cap, product point cap).
-Callers that legitimately need more room for one construction (say, a
-wide truncation of an infinite example) use scoped() rather than
-mutating globals.
+carrier or the number of opens.  DEFAULTS names every cap; cap(name)
+reads the one in force.  T0KIT_CAP overrides the defaults: either "N"
+(carrier cap) or "N,M" (carrier cap, product point cap).  Callers that
+legitimately need more room for one construction (say, a wide truncation
+of an infinite example) use scoped() rather than mutating globals.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-
-DEFAULT_CARRIER_CAP = 16
-DEFAULT_PRODUCT_CAP = 4096
-DEFAULT_OWF_OPENS_CAP = 12
-DEFAULT_ENUM_CAP = 6
-DEFAULT_MAPS_CAP = 1_000_000
-DEFAULT_TRUNCATE_CAP = 256
+from contextvars import ContextVar
 
 from .errors import CapExceeded
 
-_OVERRIDES: list[dict[str, int]] = []
+DEFAULTS = {
+    "carrier": 16,
+    "product": 4096,
+    "owf_opens": 12,
+    "enum": 6,
+    "maps": 1_000_000,
+    "truncate": 256,
+}
+_ENV_NAMES = ("carrier", "product")  # the fields of T0KIT_CAP, in order
+
+# The caps raised by the enclosing scoped() blocks, innermost winning.
+# A ContextVar, so a block in one thread or context leaves the others alone.
+_SCOPED: ContextVar[dict[str, int]] = ContextVar("t0kit_scoped_caps", default={})
 
 
-def _parse_env() -> tuple[int | None, int | None]:
+def _env_caps() -> dict[str, int]:
     raw = os.environ.get("T0KIT_CAP")
     if not raw:
-        return None, None
+        return {}
     parts = [p.strip() for p in raw.split(",")]
-    try:
-        if len(parts) == 1:
-            return int(parts[0]), None
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
-    except ValueError:
-        pass
+    if len(parts) <= len(_ENV_NAMES):
+        try:
+            return dict(zip(_ENV_NAMES, map(int, parts)))
+        except ValueError:
+            pass
     raise CapExceeded(f"cannot parse T0KIT_CAP={raw!r}; expected N or N,M")
-
-
-def _override(name: str) -> int | None:
-    for frame in reversed(_OVERRIDES):
-        if name in frame:
-            return frame[name]
-    return None
 
 
 @contextmanager
 def scoped(**limits: int):
-    """Raise selected caps inside a with-block.
+    """Raise selected caps inside a with-block, for the current thread
+    and context only.
 
-    Keywords are cap names without the _cap suffix: carrier, product,
-    owf_opens, enum, maps, truncate.  Reports built inside the block see
-    the scoped values through caps_summary(), so the relaxation is
-    always visible in the output it produced.
+    Keywords are the DEFAULTS names: carrier, product, owf_opens, enum,
+    maps, truncate.  Reports built inside the block see the scoped values
+    through caps_summary(), so the relaxation is always visible in the
+    output it produced.
     """
-    known = {"carrier", "product", "owf_opens", "enum", "maps", "truncate"}
-    bad = set(limits) - known
+    bad = set(limits) - DEFAULTS.keys()
     if bad:
         raise ValueError(f"unknown cap names: {sorted(bad)}")
-    _OVERRIDES.append(dict(limits))
+    token = _SCOPED.set({**_SCOPED.get(), **limits})
     try:
         yield
     finally:
-        _OVERRIDES.pop()
+        _SCOPED.reset(token)
 
 
-def carrier_cap() -> int:
-    o = _override("carrier")
-    if o is not None:
-        return o
-    c, _ = _parse_env()
-    return c if c is not None else DEFAULT_CARRIER_CAP
-
-
-def product_cap() -> int:
-    o = _override("product")
-    if o is not None:
-        return o
-    _, p = _parse_env()
-    return p if p is not None else DEFAULT_PRODUCT_CAP
-
-
-def owf_opens_cap() -> int:
-    o = _override("owf_opens")
-    return o if o is not None else DEFAULT_OWF_OPENS_CAP
-
-
-def enum_cap() -> int:
-    o = _override("enum")
-    return o if o is not None else DEFAULT_ENUM_CAP
-
-
-def maps_cap() -> int:
-    o = _override("maps")
-    return o if o is not None else DEFAULT_MAPS_CAP
-
-
-def truncate_cap() -> int:
-    o = _override("truncate")
-    return o if o is not None else DEFAULT_TRUNCATE_CAP
+def cap(name: str) -> int:
+    """The cap in force: the innermost scoped() value, else T0KIT_CAP
+    (read at call time), else DEFAULTS[name]."""
+    scoped_caps = _SCOPED.get()
+    if name in scoped_caps:
+        return scoped_caps[name]
+    if name in _ENV_NAMES:
+        return _env_caps().get(name, DEFAULTS[name])
+    return DEFAULTS[name]
 
 
 def caps_summary() -> dict:
     """Echoed into reports so a verdict is never read without its bounds."""
+    scoped_caps = _SCOPED.get()
+    env = {} if all(n in scoped_caps for n in _ENV_NAMES) else _env_caps()
     return {
-        "carrier_cap": carrier_cap(),
-        "product_cap": product_cap(),
-        "owf_opens_cap": owf_opens_cap(),
-        "enum_cap": enum_cap(),
+        f"{name}_cap": scoped_caps.get(name, env.get(name, default))
+        for name, default in DEFAULTS.items()
     }
 
 

@@ -21,22 +21,15 @@ from .b_topology import b_closure, is_b_closed
 from .constructions import product, subspace
 from .enumeration import all_spaces
 from .errors import BadParams, CapExceeded, T0KitError, UsageError
-from .finite_space import FiniteSpace, is_T1, iter_bits, mask_of, points_of
-from .properties import (
-    PropertyReport,
-    is_co_sober,
-    is_k_bounded_sober,
-    is_open_well_filtered,
-    is_sober,
-    is_strong_d,
-)
+from .finite_space import FiniteSpace, mask_of, points_of
+from .properties import CHECKERS
 from .reflection_lab import (
     REGISTRY,
     construct_reflection,
     sobrify_bclosure,
     sobrify_irr,
 )
-from .report import render_dot, render_json, render_text
+from .report import cover_pairs, render_dot, render_json, render_text
 from .spacefile import SpaceDoc, parse_document, print_space
 from .symbolic.alexandrov import check_cosober_alexandrov
 from .symbolic.cofinite import check_owf
@@ -46,33 +39,11 @@ from .symbolic.verdicts import Verdict
 
 # ----- properties exposed on the command line -----
 
-
-def _t0_report(space: FiniteSpace) -> PropertyReport:
-    return PropertyReport(
-        "t0", True, "carrier invariant: spaces are validated T0 at construction"
-    )
-
-
-def _t1_report(space: FiniteSpace) -> PropertyReport:
-    for x in range(space.n):
-        for y in iter_bits(space.up[x]):
-            if y != x:
-                return PropertyReport(
-                    "t1", False, "discreteness scan",
-                    witness={"comparable_pair": [x, y]},
-                )
-    return PropertyReport("t1", True, "discreteness scan")
-
-
-PROPERTIES: dict[str, Callable[[FiniteSpace], PropertyReport]] = {
-    "sober": is_sober,
-    "cosober": is_co_sober,
-    "strongd": is_strong_d,
-    "kbsober": is_k_bounded_sober,
-    "owf": is_open_well_filtered,
-    "t0": _t0_report,
-    "t1": _t1_report,
-}
+# properties.CHECKERS under the CLI names: four canonical names get short
+# aliases, the other three are kept.
+_ALIASES = {"co_sober": "cosober", "strong_d": "strongd",
+            "k_bounded_sober": "kbsober", "open_well_filtered": "owf"}
+PROPERTIES = {_ALIASES.get(name, name): check for name, check in CHECKERS.items()}
 
 
 # ----- plumbing -----
@@ -415,7 +386,7 @@ def cmd_enumerate(args) -> int:
         matches.append({
             "index": i,
             "points": sp.n,
-            "cover": [f"x{x} < x{y}" for x, y in sorted(_covers(sp))],
+            "cover": [f"x{x} < x{y}" for x, y in sorted(cover_pairs(sp))],
         })
     _emit(args.format, {
         "command": "enumerate",
@@ -426,12 +397,6 @@ def cmd_enumerate(args) -> int:
         "spaces": matches,
     })
     return 0
-
-
-def _covers(space: FiniteSpace) -> list[tuple[int, int]]:
-    from .report import cover_pairs
-
-    return cover_pairs(space)
 
 
 # ----- export -----

@@ -174,7 +174,7 @@ def product(factors: Sequence[FiniteSpace]) -> ProductResult:
     up = [1]
     down = [1]
     for s in factors:
-        caps.guard(n * s.n, caps.product_cap(), "product carrier size")
+        caps.guard(n * s.n, caps.cap("product"), "product carrier size")
         new_up = []
         new_down = []
         for a in range(n):
@@ -230,7 +230,7 @@ def powerset_scott(m: int) -> FiniteSpace:
     Points are subset bitmasks; up-masks (supersets) and down-masks
     (subsets) are filled in by the subset-sum sweep, one bit at a time.
     """
-    caps.guard(1 << m, caps.product_cap(), "powerset carrier size")
+    caps.guard(1 << m, caps.cap("product"), "powerset carrier size")
     size = 1 << m
     up = [1 << s for s in range(size)]
     down = [1 << s for s in range(size)]

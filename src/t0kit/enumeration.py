@@ -17,7 +17,7 @@ from typing import Iterator
 from . import caps
 from .constructions import SpaceMap
 from .errors import CapExceeded
-from .finite_space import FiniteSpace, PointSet, all_opens, iter_bits
+from .finite_space import FiniteSpace, PointSet, all_opens, dual, iter_bits
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ def canonicalize(space: FiniteSpace) -> FiniteSpace:
     return relabel_space(space, canonical_form(space).relabel)
 
 
-def _down_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
-    """All down-sets, via the opens of the order dual."""
-    dual = FiniteSpace(space.n, space.down, space.up)
-    return all_opens(dual)
-
-
 @functools.lru_cache(maxsize=None)
 def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """All T0 spaces on n points up to homeomorphism, canonically labeled.
@@ -107,8 +101,8 @@ def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     smaller space in which the removed point's strict down-set is a
     down-set; re-adding a maximal point over each down-set therefore
     reaches every class."""
-    if n > caps.enum_cap():
-        raise CapExceeded(f"space enumeration capped at {caps.enum_cap()} points")
+    if n > caps.cap("enum"):
+        raise CapExceeded(f"space enumeration capped at {caps.cap('enum')} points")
     if n < 1:
         raise CapExceeded("space enumeration needs n >= 1")
     if n == 1:
@@ -116,7 +110,7 @@ def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     seen: dict[tuple[PointSet, ...], FiniteSpace] = {}
     top = 1 << (n - 1)
     for base in all_spaces(n - 1):
-        for d in _down_sets(base):
+        for d in all_opens(dual(base)):  # the down-sets of base
             up = [base.up[x] | (top if (d >> x) & 1 else 0) for x in range(n - 1)]
             up.append(top)
             down = list(base.down) + [d | top]
@@ -161,8 +155,8 @@ def all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMap
 def continuous_maps_list(dom: FiniteSpace, cod: FiniteSpace) -> tuple[SpaceMap, ...]:
     """Materialized (and cached) variant, guarded by the loose bound."""
     bound = cod.n ** dom.n
-    if bound > caps.maps_cap():
+    if bound > caps.cap("maps"):
         raise CapExceeded(
-            f"map table {cod.n}^{dom.n} exceeds {caps.maps_cap()}; stream instead"
+            f"map table {cod.n}^{dom.n} exceeds {caps.cap('maps')}; stream instead"
         )
     return tuple(all_continuous_maps(dom, cod))

@@ -72,7 +72,7 @@ class FiniteSpace:
 def _check_carrier(n: int) -> None:
     if n <= 0:
         raise EmptyCarrier("carrier must be nonempty")
-    caps.guard(n, caps.carrier_cap(), "carrier size")
+    caps.guard(n, caps.cap("carrier"), "carrier size")
 
 
 def from_order(n: int, pairs: Iterable[tuple[int, int]]) -> FiniteSpace:
@@ -174,7 +174,7 @@ def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
     under s -> s | up[x] reaches each open once.  Cost is O(|opens| * n)
     set operations, never 2^n, but the count itself can be 2^n: guarded.
     """
-    limit = 1 << min(space.n, caps.carrier_cap())
+    limit = 1 << min(space.n, caps.cap("carrier"))
     found = {0}
     frontier = [0]
     while frontier:
@@ -187,6 +187,12 @@ def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
                 if len(found) > limit:
                     raise CapExceeded(f"open-set count exceeds {limit}")
     return tuple(sorted(found))
+
+
+def dual(space: FiniteSpace) -> FiniteSpace:
+    """The order dual: its opens are the down-sets (the closed sets) of
+    space, and its closed sets are the up-sets (the saturated sets)."""
+    return FiniteSpace(space.n, space.down, space.up)
 
 
 def all_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:

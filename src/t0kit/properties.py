@@ -1,11 +1,16 @@
 """Sobriety-like property checkers.
 
+CHECKERS maps each canonical name to its checker.  The CLI reads it under
+four short aliases (cosober, strongd, kbsober, owf); the reflection
+registry reads it under the canonical names.
+
 Each checker quantifies literally over the finite data (closed sets,
 saturated sets, directed subsets, open families) and returns a
 PropertyReport carrying the verdict, the method used, a witness on
 failure, and the size bounds in force.  For finite T0 spaces all five
-properties turn out to hold; the checkers still do the quantifier work
-so that the collapse is an output, not an axiom.
+sobriety-like properties turn out to hold; the checkers still do the
+quantifier work so that the collapse is an output, not an axiom.
+Co-sobriety reuses the sober reducibility scan on the order dual.
 
 The one non-literal path is the structural tier of the open-well-filtered
 checker, used when 2^|opens| subfamilies are out of reach; its one lemma
@@ -17,7 +22,7 @@ tier in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from . import caps
 from .errors import NotOpen
@@ -25,13 +30,12 @@ from .finite_space import (
     FiniteSpace,
     PointSet,
     all_opens,
-    closure,
+    dual,
     irreducible_closed_sets,
     is_directed,
     is_subset,
     iter_bits,
     points_of,
-    saturated_sets,
 )
 
 
@@ -82,20 +86,12 @@ def is_sober(space: FiniteSpace) -> PropertyReport:
 def is_co_sober(space: FiniteSpace) -> PropertyReport:
     """Every nonempty k-irreducible compact saturated set is a point
     saturation.  Q is k-irreducible when Q = Q1 | Q2 with Q1, Q2 compact
-    saturated forces Q1 = Q or Q2 = Q; covering pairs are intersected
-    into Q first, which keeps them compact saturated."""
-    sats = saturated_sets(space)
+    saturated forces Q1 = Q or Q2 = Q.  Compact saturated sets are the
+    up-sets, which are the closed sets of the order dual, so these are
+    the dual's irreducible closed sets."""
     bad = None
     k_irreducible = 0
-    for q in sats:
-        if q == 0:
-            continue
-        inside = sorted({s & q for s in sats if s & q != q})
-        reducible = any(
-            a | b == q for i, a in enumerate(inside) for b in inside[i:]
-        )
-        if reducible:
-            continue
+    for q in irreducible_closed_sets(dual(space)):
         k_irreducible += 1
         if not any(space.up[x] == q for x in iter_bits(q)):
             bad = {"k_irreducible_compact_saturated": _pts(q)}
@@ -105,7 +101,8 @@ def is_co_sober(space: FiniteSpace) -> PropertyReport:
         holds=bad is None,
         method="exhaustive",
         witness=bad,
-        details={"saturated_count": len(sats), "k_irreducible_count": k_irreducible},
+        details={"saturated_count": len(all_opens(space)),
+                 "k_irreducible_count": k_irreducible},
     )
 
 
@@ -202,7 +199,7 @@ def _way_below_literal(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
         raise NotOpen("way_below_opens needs two open sets")
     opens = all_opens(space)
     m = len(opens)
-    caps.guard(m, caps.owf_opens_cap(), "opens count for literal way-below")
+    caps.guard(m, caps.cap("owf_opens"), "opens count for literal way-below")
     for fam in range(1, 1 << m):
         members = [opens[i] for i in range(m) if (fam >> i) & 1]
         directed = all(
@@ -351,16 +348,37 @@ def _owf_structural(space: FiniteSpace) -> PropertyReport:
 
 def is_open_well_filtered(space: FiniteSpace) -> PropertyReport:
     opens_count = len(all_opens(space))
-    if opens_count <= caps.owf_opens_cap():
+    if opens_count <= caps.cap("owf_opens"):
         return _owf_literal(space)
     return _owf_structural(space)
 
 
-def all_property_reports(space: FiniteSpace) -> dict[str, PropertyReport]:
-    return {
-        "sober": is_sober(space),
-        "co_sober": is_co_sober(space),
-        "strong_d": is_strong_d(space),
-        "k_bounded_sober": is_k_bounded_sober(space),
-        "open_well_filtered": is_open_well_filtered(space),
-    }
+def is_t0(space: FiniteSpace) -> PropertyReport:
+    """Spaces are checked T0 when they are built, so this always holds."""
+    return PropertyReport(
+        "t0", True, "carrier invariant: spaces are validated T0 at construction"
+    )
+
+
+def is_t1(space: FiniteSpace) -> PropertyReport:
+    """T1, which for a finite space means discrete; the witness is the
+    first comparable pair.  finite_space.is_T1 is the bare predicate."""
+    for x in range(space.n):
+        for y in iter_bits(space.up[x]):
+            if y != x:
+                return PropertyReport(
+                    "t1", False, "discreteness scan",
+                    witness={"comparable_pair": [x, y]},
+                )
+    return PropertyReport("t1", True, "discreteness scan")
+
+
+CHECKERS: dict[str, Callable[[FiniteSpace], PropertyReport]] = {
+    "sober": is_sober,
+    "co_sober": is_co_sober,
+    "strong_d": is_strong_d,
+    "k_bounded_sober": is_k_bounded_sober,
+    "open_well_filtered": is_open_well_filtered,
+    "t0": is_t0,
+    "t1": is_t1,
+}

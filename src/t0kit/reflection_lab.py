@@ -40,25 +40,16 @@ from .finite_space import (
     from_opens,
     irreducible_closed_sets,
     is_subset,
-    is_T1,
     iter_bits,
     points_of,
 )
-from .properties import (
-    PropertyReport,
-    is_co_sober,
-    is_k_bounded_sober,
-    is_open_well_filtered,
-    is_sober,
-    is_strong_d,
-)
+from .properties import CHECKERS, PropertyReport
 
 
 @dataclass(frozen=True)
 class ClassPredicate:
     name: str
     member: Callable[[FiniteSpace], bool]
-    description: str = ""
 
     def __call__(self, space: FiniteSpace) -> bool:
         return bool(self.member(space))
@@ -77,27 +68,17 @@ def _order_connected(space: FiniteSpace) -> bool:
     return reach == space.full
 
 
+# One class per checker but t0 (all_t0 below is that class), then the
+# negative controls.  Membership looks the checker up at call time.
 REGISTRY: dict[str, ClassPredicate] = {
-    p.name: p
-    for p in [
-        ClassPredicate("sober", lambda sp: is_sober(sp).holds,
-                       "irreducible closed sets are point closures"),
-        ClassPredicate("co_sober", lambda sp: is_co_sober(sp).holds,
-                       "k-irreducible compact saturated sets are point saturations"),
-        ClassPredicate("strong_d", lambda sp: is_strong_d(sp).holds,
-                       "directed up-set intersections are approximated pointwise"),
-        ClassPredicate("k_bounded_sober", lambda sp: is_k_bounded_sober(sp).holds,
-                       "irreducible closed sets with a sup are closures of it"),
-        ClassPredicate("open_well_filtered", lambda sp: is_open_well_filtered(sp).holds,
-                       "way-below-filtered open families are well behaved"),
-        ClassPredicate("t1", is_T1, "discrete order"),
-        ClassPredicate("all_t0", lambda sp: True, "every finite T0 space"),
-        ClassPredicate("at_most_two_points", lambda sp: sp.n <= 2,
-                       "carrier has at most two points (not productive)"),
-        ClassPredicate("at_least_two_points", lambda sp: sp.n >= 2,
-                       "carrier has at least two points (not intersection-stable)"),
-        ClassPredicate("order_connected", _order_connected,
-                       "comparability graph is connected (not hereditary)"),
+    name: ClassPredicate(name, member)
+    for name, member in [
+        *((name, lambda sp, name=name: CHECKERS[name](sp).holds)
+          for name in CHECKERS if name != "t0"),
+        ("all_t0", lambda sp: True),
+        ("at_most_two_points", lambda sp: sp.n <= 2),  # not productive
+        ("at_least_two_points", lambda sp: sp.n >= 2),  # not intersection-stable
+        ("order_connected", _order_connected),  # not hereditary
     ]
 }
 
@@ -136,7 +117,8 @@ def sobrify_irr(space: FiniteSpace) -> SobrificationResult:
 def sobrify_bclosure(space: FiniteSpace) -> SobrificationResult:
     """Embed canonically into the Sierpinski power over the nonempty
     opens, take the b-closure of the image, and corestrict."""
-    emb, power = canonical_embedding(space).materialize()
+    embedding = canonical_embedding(space)
+    emb, power = embedding.materialize()
     image = image_mask(emb)
     closed = b_closure(power.space, image)
     sub = subspace(power.space, closed)
@@ -147,7 +129,7 @@ def sobrify_bclosure(space: FiniteSpace) -> SobrificationResult:
         unit=unit,
         route="b-closure-of-canonical-image",
         details={
-            "power_exponent": len(canonical_embedding(space).opens),
+            "power_exponent": len(embedding.opens),
             "image_size": image.bit_count(),
             "b_closure_size": closed.bit_count(),
         },

@@ -185,8 +185,8 @@ class AlexandrovNat:
         up-sets of a finite chain."""
         if bound < 1:
             raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.truncate_cap(), "truncation size")
-        with caps.scoped(carrier=max(bound, caps.DEFAULT_CARRIER_CAP)):
+        caps.guard(bound, caps.cap("truncate"), "truncation size")
+        with caps.scoped(carrier=max(bound, caps.DEFAULTS["carrier"])):
             return chain(bound)
 
 

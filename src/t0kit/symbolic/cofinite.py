@@ -192,8 +192,8 @@ class CofiniteNat:
         piece extends to a cofinite set."""
         if bound < 1:
             raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.truncate_cap(), "truncation size")
-        with caps.scoped(carrier=max(bound, caps.DEFAULT_CARRIER_CAP)):
+        caps.guard(bound, caps.cap("truncate"), "truncation size")
+        with caps.scoped(carrier=max(bound, caps.DEFAULTS["carrier"])):
             return antichain(bound)
 
 

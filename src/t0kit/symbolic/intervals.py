@@ -285,7 +285,7 @@ class ScottQSubspace:
         (ascending denominator, then numerator, lowest terms)."""
         if bound < 1:
             raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.truncate_cap(), "truncation size")
+        caps.guard(bound, caps.cap("truncate"), "truncation size")
         chosen: list[Fraction] = []
         d = 1
         while len(chosen) < bound:
@@ -306,7 +306,7 @@ class ScottQSubspace:
         """Trace topology on the first `bound` canonical rationals:
         final-segment traces on a finite chain are its up-sets."""
         pts = self.truncation_carrier(bound)
-        with caps.scoped(carrier=max(len(pts), caps.DEFAULT_CARRIER_CAP)):
+        with caps.scoped(carrier=max(len(pts), caps.DEFAULTS["carrier"])):
             return chain(len(pts))
 
 

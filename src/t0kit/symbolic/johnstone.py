@@ -336,14 +336,14 @@ def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[P
 
 def _space_from_points(pts: list[Point]) -> FiniteSpace:
     n = len(pts)
-    caps.guard(n, caps.truncate_cap(), "truncation size")
+    caps.guard(n, caps.cap("truncate"), "truncation size")
     pairs = [
         (i, k)
         for i, p in enumerate(pts)
         for k, q in enumerate(pts)
         if leq_points(p, q)
     ]
-    with caps.scoped(carrier=max(n, caps.DEFAULT_CARRIER_CAP)):
+    with caps.scoped(carrier=max(n, caps.DEFAULTS["carrier"])):
         return from_order(n, pairs)
 
 

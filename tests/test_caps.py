@@ -1,5 +1,7 @@
 """Cap plumbing: env parsing, scoped overrides, report echo."""
 
+import threading
+
 import pytest
 
 from t0kit import caps
@@ -9,33 +11,63 @@ from t0kit.finite_space import FiniteSpace, antichain
 
 def test_defaults_visible_in_summary():
     s = caps.caps_summary()
-    assert s["carrier_cap"] == caps.DEFAULT_CARRIER_CAP
-    assert s["product_cap"] == caps.DEFAULT_PRODUCT_CAP
-    assert s["owf_opens_cap"] == caps.DEFAULT_OWF_OPENS_CAP
+    assert s["carrier_cap"] == caps.DEFAULTS["carrier"]
+    assert s["product_cap"] == caps.DEFAULTS["product"]
+    assert s["owf_opens_cap"] == caps.DEFAULTS["owf_opens"]
+    assert s["enum_cap"] == caps.DEFAULTS["enum"]
+    assert s["maps_cap"] == caps.DEFAULTS["maps"]
+    assert s["truncate_cap"] == caps.DEFAULTS["truncate"]
+    assert list(s) == ["carrier_cap", "product_cap", "owf_opens_cap",
+                       "enum_cap", "maps_cap", "truncate_cap"]
 
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv("T0KIT_CAP", "20")
-    assert caps.carrier_cap() == 20
-    assert caps.product_cap() == caps.DEFAULT_PRODUCT_CAP
+    assert caps.cap("carrier") == 20
+    assert caps.cap("product") == caps.DEFAULTS["product"]
     monkeypatch.setenv("T0KIT_CAP", "20, 9000")
-    assert caps.carrier_cap() == 20
-    assert caps.product_cap() == 9000
+    assert caps.cap("carrier") == 20
+    assert caps.cap("product") == 9000
     monkeypatch.setenv("T0KIT_CAP", "nope")
     with pytest.raises(CapExceeded):
-        caps.carrier_cap()
+        caps.cap("carrier")
 
 
 def test_scoped_override_nests_and_restores():
-    base = caps.carrier_cap()
+    base = caps.cap("carrier")
     with caps.scoped(carrier=50):
-        assert caps.carrier_cap() == 50
+        assert caps.cap("carrier") == 50
         assert caps.caps_summary()["carrier_cap"] == 50
         with caps.scoped(carrier=30, product=9999):
-            assert caps.carrier_cap() == 30
-            assert caps.product_cap() == 9999
-        assert caps.carrier_cap() == 50
-    assert caps.carrier_cap() == base
+            assert caps.cap("carrier") == 30
+            assert caps.cap("product") == 9999
+        assert caps.cap("carrier") == 50
+    assert caps.cap("carrier") == base
+
+
+def test_scoped_is_per_thread():
+    # thread A holds a raised carrier cap while thread B reads the default
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def hold():
+        with caps.scoped(carrier=50):
+            entered.set()
+            release.wait(timeout=10)
+
+    a = threading.Thread(target=hold)
+    a.start()
+    try:
+        assert entered.wait(timeout=10)
+        b = threading.Thread(target=lambda: seen.append(caps.cap("carrier")))
+        b.start()
+        b.join(timeout=10)
+        assert not b.is_alive()
+    finally:
+        release.set()
+        a.join(timeout=10)
+    assert not a.is_alive()
+    assert seen == [16]
 
 
 def test_scoped_rejects_unknown_names():

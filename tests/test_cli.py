@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, golden outputs."""
 
 import json
+import re
 
 import pytest
 
@@ -44,6 +45,17 @@ def test_check_all_seven_properties(capsys, sigma2_file):
     assert props["t1"]["holds"] is False
     assert props["t1"]["witness"]["comparable_pair"] == [0, 1]
     assert props["sober"]["caps"]["carrier_cap"] >= 1  # caps echoed
+    assert set(props["sober"]["caps"]) == {
+        "carrier_cap", "product_cap", "owf_opens_cap",
+        "enum_cap", "maps_cap", "truncate_cap",
+    }
+    # JSON sorts keys; the text report keeps the CLI's property order
+    assert main(["check", sigma2_file]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    below = lines[lines.index("properties:") + 1:]
+    assert [ln[2:-1] for ln in below if re.fullmatch(r"  \w+:", ln)] == [
+        "sober", "cosober", "strongd", "kbsober", "owf", "t0", "t1"
+    ]
 
 
 def test_check_single_property_exit_zero(capsys, sigma2_file):

@@ -104,7 +104,7 @@ def test_carrier_guards():
     with pytest.raises(EmptyCarrier):
         from_order(0, [])
     with pytest.raises(CapExceeded):
-        from_order(caps.carrier_cap() + 1, [])
+        from_order(caps.cap("carrier") + 1, [])
 
 
 def test_sierpinski_shape():

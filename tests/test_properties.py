@@ -22,11 +22,11 @@ from t0kit.finite_space import (
     v_poset,
 )
 from t0kit.properties import (
+    CHECKERS,
     PropertyReport,
     _owf_literal,
     _owf_structural,
     _way_below_literal,
-    all_property_reports,
     is_co_sober,
     is_k_bounded_sober,
     is_open_well_filtered,
@@ -85,7 +85,7 @@ def test_way_below_frozen_examples():
 def test_way_below_reduction_matches_literal():
     for sp in spaces_up_to(4):
         opens = all_opens(sp)
-        if len(opens) > caps.owf_opens_cap():
+        if len(opens) > caps.cap("owf_opens"):
             continue  # literal quantifier guarded beyond the cap
         for u in opens:
             for v in opens:
@@ -94,7 +94,7 @@ def test_way_below_reduction_matches_literal():
 
 def test_owf_tiers_agree_where_both_run():
     for sp in spaces_up_to(4):
-        if len(all_opens(sp)) > caps.owf_opens_cap():
+        if len(all_opens(sp)) > caps.cap("owf_opens"):
             continue
         lit = _owf_literal(sp)
         struct = _owf_structural(sp)
@@ -137,23 +137,21 @@ def test_report_tree_shape():
     tree = rep.as_tree()
     assert tree["property"] == "sober"
     assert tree["holds"] is True
-    assert "caps" in tree and tree["caps"]["carrier_cap"] == caps.carrier_cap()
+    assert "caps" in tree and tree["caps"]["carrier_cap"] == caps.cap("carrier")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_all_properties_hold_on_all_small_spaces(n):
     # the finite collapse, computed rather than assumed
+    assert list(CHECKERS) == ["sober", "co_sober", "strong_d", "k_bounded_sober",
+                              "open_well_filtered", "t0", "t1"]
     for sp in all_spaces(n):
-        reports = all_property_reports(sp)
-        assert set(reports) == {
-            "sober",
-            "co_sober",
-            "strong_d",
-            "k_bounded_sober",
-            "open_well_filtered",
-        }
-        for rep in reports.values():
+        for name, check in CHECKERS.items():
+            if name == "t1":
+                continue  # T1 is discreteness, not a sobriety-like property
+            rep = check(sp)
             assert isinstance(rep, PropertyReport)
+            assert rep.name == name
             assert rep.holds, (n, rep)
 
 

@@ -9,7 +9,7 @@ properties they are designed to fail, with machine-checkable witnesses."""
 import pytest
 
 from t0kit.constructions import find_homeomorphism, is_monotone, subspace
-from t0kit.enumeration import all_spaces
+from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import CapExceeded, EmptyCarrier
 from t0kit.finite_space import (
     all_opens,
@@ -20,6 +20,7 @@ from t0kit.finite_space import (
     sigma2,
     v_poset,
 )
+from t0kit.properties import CHECKERS
 from t0kit.reflection_lab import (
     REGISTRY,
     check_closure_properties,
@@ -32,6 +33,13 @@ from t0kit.reflection_lab import (
 )
 
 SOBER = REGISTRY["sober"]
+
+
+@pytest.mark.parametrize("name", [n for n in CHECKERS if n in REGISTRY])
+def test_checker_classes_follow_their_checkers(name):
+    assert REGISTRY[name].name == name
+    for sp in spaces_up_to(4):
+        assert REGISTRY[name](sp) == CHECKERS[name](sp).holds, (name, sp)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

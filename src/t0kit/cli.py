@@ -70,6 +70,14 @@ def _emit(fmt: str, tree: dict[str, Any]) -> None:
     print(render_json(tree) if fmt == "json" else render_text(tree))
 
 
+def _emit_document(fmt: str, tree: dict[str, Any], text: str) -> None:
+    """A constructed .space document: bare in text, inside tree in JSON."""
+    if fmt == "json":
+        _emit("json", {**tree, "document": text})
+    else:
+        print(text, end="")
+
+
 def _names_to_mask(doc: SpaceDoc, csv: str) -> int:
     names = [w.strip() for w in csv.split(",") if w.strip()]
     if not names:
@@ -121,15 +129,11 @@ def cmd_construct_product(args) -> int:
         f"{a.name}_x_{b.name}", pr.space, names,
         [f"product of {a.name} ({a.space.n} points) and {b.name} ({b.space.n} points)"],
     )
-    if args.format == "json":
-        _emit("json", {
-            "command": "construct product",
-            "factors": [a.name, b.name],
-            "points": pr.space.n,
-            "document": text,
-        })
-    else:
-        print(text, end="")
+    _emit_document(args.format, {
+        "command": "construct product",
+        "factors": [a.name, b.name],
+        "points": pr.space.n,
+    }, text)
     return 0
 
 
@@ -142,15 +146,11 @@ def cmd_construct_subspace(args) -> int:
         f"{doc.name}_sub", sub.space, names,
         comments=[f"subspace of {doc.name} on {', '.join(names)}"],
     )
-    if args.format == "json":
-        _emit("json", {
-            "command": "construct subspace",
-            "ambient": doc.name,
-            "points": names,
-            "document": text,
-        })
-    else:
-        print(text, end="")
+    _emit_document(args.format, {
+        "command": "construct subspace",
+        "ambient": doc.name,
+        "points": names,
+    }, text)
     return 0
 
 
@@ -164,17 +164,13 @@ def cmd_construct_sobrify(args) -> int:
         for x in range(doc.space.n)
     ]
     text = print_space(f"{doc.name}_sober", res.space, names, comments=comments)
-    if args.format == "json":
-        _emit("json", {
-            "command": "construct sobrify",
-            "route": res.route,
-            "unit": {doc.point_names[x]: f"q{res.unit.table[x]}"
-                     for x in range(doc.space.n)},
-            "details": dict(res.details),
-            "document": text,
-        })
-    else:
-        print(text, end="")
+    _emit_document(args.format, {
+        "command": "construct sobrify",
+        "route": res.route,
+        "unit": {doc.point_names[x]: f"q{res.unit.table[x]}"
+                 for x in range(doc.space.n)},
+        "details": dict(res.details),
+    }, text)
     return 0
 
 

@@ -186,66 +186,37 @@ def way_below_opens(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
 
     A finite directed family has a greatest member, which covers V by
     itself, so only single-open covers T >= V need checking; the literal
-    all-families quantifier lives in _way_below_literal and the two are
-    asserted equal in tests."""
+    all-families quantifier is _way_below_literal (the whole table in one
+    pass), and the two are asserted equal in tests."""
     if not space.is_open(u) or not space.is_open(v):
         raise NotOpen("way_below_opens needs two open sets")
     return all(is_subset(u, t) for t in all_opens(space) if is_subset(v, t))
 
 
-def _way_below_literal(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
-    """Reference quantifier over all 2^|opens| nonempty subfamilies."""
-    if not space.is_open(u) or not space.is_open(v):
-        raise NotOpen("way_below_opens needs two open sets")
+def _way_below_literal(space: FiniteSpace) -> tuple[list[int], int]:
+    """Reference way-below quantifier over all 2^|opens| nonempty
+    subfamilies, for every pair of opens in one pass.
+
+    Returns below, where below[j] is the mask of the i with opens[i]
+    way-below opens[j] (indices into all_opens(space)), and the number
+    of directed subfamilies scanned."""
     opens = all_opens(space)
     m = len(opens)
     caps.guard(m, caps.cap("owf_opens"), "opens count for literal way-below")
-    for fam in range(1, 1 << m):
-        members = [opens[i] for i in range(m) if (fam >> i) & 1]
-        directed = all(
-            any(is_subset(a | b, c) for c in members)
-            for a in members
-            for b in members
-        )
-        if not directed:
-            continue
-        union = 0
-        for w in members:
-            union |= w
-        if is_subset(v, union) and not any(is_subset(u, w) for w in members):
-            return False
-    return True
-
-
-def _owf_literal(space: FiniteSpace) -> PropertyReport:
-    """Quantify over every nonempty subfamily of opens: if it is filtered
-    for way-below and its intersection lies in an open U, some member
-    must lie in U.
-
-    One pass enumerates all directed subfamilies (with their unions);
-    the literal way-below table falls out of that same pass, so the
-    whole check is 2^|opens| work once instead of per pair."""
-    opens = all_opens(space)
-    m = len(opens)
     super_of = []  # super_of[i] = mask of j with opens[j] >= opens[i]
-    sub_of = []  # sub_of[k] = mask of i with opens[i] <= opens[k]
     for i in range(m):
         sup_row = 0
-        sub_row = 0
         for j in range(m):
             if is_subset(opens[i], opens[j]):
                 sup_row |= 1 << j
-            if is_subset(opens[j], opens[i]):
-                sub_row |= 1 << j
         super_of.append(sup_row)
-        sub_of.append(sub_row)
     bound_in = [
         [super_of[i] & super_of[j] for j in range(m)] for i in range(m)
     ]  # family members dominating opens[i] | opens[j]
 
-    # Pass 1, over all subfamilies: find the upward-directed ones (the
-    # candidate covers).  not_wb[i] accumulates every j refuted by a
-    # directed cover of opens[j] containing no member above opens[i].
+    # Find the upward-directed subfamilies (the candidate covers).
+    # not_wb[i] accumulates every j refuted by a directed cover of
+    # opens[j] containing no member above opens[i].
     not_wb = [0] * m
     directed_families = 0
     for fam in range(1, 1 << m):
@@ -266,14 +237,29 @@ def _owf_literal(space: FiniteSpace) -> PropertyReport:
             if not (fam & super_of[i]):
                 not_wb[i] |= covered
     wb = [~not_wb[i] & ((1 << m) - 1) for i in range(m)]
-    below = [0] * m  # below[j] = mask of i with opens[i] way-below opens[j]
+    below = [0] * m
     for i in range(m):
         for j in iter_bits(wb[i]):
             below[j] |= 1 << i
+    return below, directed_families
 
-    # Pass 2, over all subfamilies again: the way-below-filtered ones
-    # (downward: every pair dominates a common member) feed the actual
-    # well-filteredness condition.
+
+def _owf_literal(space: FiniteSpace) -> PropertyReport:
+    """Quantify over every nonempty subfamily of opens: if it is filtered
+    for way-below and its intersection lies in an open U, some member
+    must lie in U.
+
+    The literal way-below table comes from _way_below_literal, so the
+    whole check is two 2^|opens| passes rather than one per pair."""
+    below, directed_families = _way_below_literal(space)
+    opens = all_opens(space)
+    m = len(opens)
+    sub_of = [  # sub_of[k] = mask of i with opens[i] <= opens[k]
+        sum(1 << i for i in range(m) if is_subset(opens[i], opens[k])) for k in range(m)
+    ]
+
+    # The way-below-filtered subfamilies (downward: every pair dominates
+    # a common member) feed the actual well-filteredness condition.
     bad = None
     filtered_count = 0
     for fam in range(1, 1 << m):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .b_topology import b_closure, is_b_closed
 from .constructions import (
@@ -149,6 +149,11 @@ def k_closure(ambient: FiniteSpace, a: PointSet, predicate: ClassPredicate) -> P
     return out
 
 
+def _ups(space: FiniteSpace) -> list[list[int]]:
+    """The space's point saturations, the form witnesses record it in."""
+    return [list(points_of(u)) for u in space.up]
+
+
 @dataclass(frozen=True)
 class ReflectionCheck:
     holds: bool
@@ -178,7 +183,7 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
                     verified,
                     test_bound,
                     {
-                        "test_object_up": [list(points_of(u)) for u in z.up],
+                        "test_object_up": _ups(z),
                         "map": list(f.table),
                         "extension_count": len(matching),
                     },
@@ -267,6 +272,46 @@ def _meet_closure(carriers: list[PointSet]) -> dict[PointSet, tuple[PointSet, ..
     return gen
 
 
+def _member_carriers(space: FiniteSpace, predicate: ClassPredicate) -> list[PointSet]:
+    """Nonempty carriers whose subspace lies in the class."""
+    return [b for b in range(1, space.full + 1) if predicate(subspace(space, b).space)]
+
+
+EXEMPT = object()  # sweep item for an empty intersection, preimage or equalizer
+
+
+def _subspace_item(predicate: ClassPredicate, space: FiniteSpace, carrier: PointSet,
+                   witness: Callable[[], dict[str, Any]]) -> Any:
+    """Sweep item for the subspace of space on carrier: EXEMPT when the
+    carrier is empty, None when the subspace is a member, else witness()."""
+    if carrier == 0:
+        return EXEMPT
+    return None if predicate(subspace(space, carrier).space) else witness()
+
+
+def _sweep(name: str, n_max: int, cases: Iterator[Any], counted: str,
+           exempt: str | None = None, **extra: Any) -> PropertyReport:
+    """Run a stream of instances up to its first failure.  Each item is
+    None (the instance holds), EXEMPT (tallied under exempt) or the
+    witness of a failure; every non-exempt item up to and including the
+    failure is tallied under counted."""
+    bad = None
+    checked = skipped = 0
+    for item in cases:
+        if item is EXEMPT:
+            skipped += 1
+            continue
+        checked += 1
+        if item is not None:
+            bad = item
+            break
+    details = {counted: checked}
+    if exempt is not None:
+        details[exempt] = skipped
+    details.update(extra)
+    return PropertyReport(name, bad is None, f"exhaustive<= {n_max}", bad, details)
+
+
 def check_K_conditions(predicate: ClassPredicate, n_max: int = 3) -> dict[str, PropertyReport]:
     """Bounded Keimel-Lawson conditions.
 
@@ -276,98 +321,53 @@ def check_K_conditions(predicate: ClassPredicate, n_max: int = 3) -> dict[str, P
         stay members (empty intersections exempt, counted).
     K4: preimages of member subspaces under continuous maps are members
         (empty preimages exempt, counted)."""
-    reports: dict[str, PropertyReport] = {}
+    spaces = list(spaces_up_to(n_max))
+    carriers = [_member_carriers(z, predicate) for z in spaces]
 
-    bad = None
-    checked = 0
-    for z in spaces_up_to(n_max):
-        checked += 1
-        if not predicate(z):
-            bad = {"sober_space_up": [list(points_of(u)) for u in z.up]}
-            break
-    reports["K1"] = PropertyReport(
-        "K1_contains_all_sober", bad is None, f"exhaustive<= {n_max}", bad,
-        {"spaces_checked": checked},
-    )
+    def k1():
+        for z in spaces:
+            yield None if predicate(z) else {"sober_space_up": _ups(z)}
 
-    bad = None
-    checked = 0
-    for z in spaces_up_to(n_max):
-        base = predicate(z)
-        for perm in itertools.permutations(range(z.n)):
-            if predicate(relabel_space(z, perm)) != base:
-                bad = {"space_up": [list(points_of(u)) for u in z.up],
-                       "relabeling": list(perm)}
-                break
-            checked += 1
-        if bad:
-            break
-    reports["K2"] = PropertyReport(
-        "K2_homeomorphism_invariant", bad is None, f"exhaustive<= {n_max}", bad,
-        {"relabelings_checked": checked},
-    )
+    def k2():
+        for z in spaces:
+            base = predicate(z)
+            for perm in itertools.permutations(range(z.n)):
+                if predicate(relabel_space(z, perm)) == base:
+                    yield None
+                else:
+                    yield {"space_up": _ups(z), "relabeling": list(perm)}
 
-    bad = None
-    checked = 0
-    skipped_empty = 0
-    for z in spaces_up_to(n_max):
-        member_carriers = [
-            b for b in range(1, z.full + 1) if predicate(subspace(z, b).space)
-        ]
-        for inter, family in _meet_closure(member_carriers).items():
-            if inter == 0:
-                skipped_empty += 1
-                continue
-            checked += 1
-            if not predicate(subspace(z, inter).space):
-                bad = {
-                    "ambient_up": [list(points_of(u)) for u in z.up],
+    def k3():
+        for z, members in zip(spaces, carriers):
+            for inter, family in _meet_closure(members).items():
+                yield _subspace_item(predicate, z, inter, lambda: {
+                    "ambient_up": _ups(z),
                     "family": [list(points_of(c)) for c in family],
                     "intersection": list(points_of(inter)),
-                }
-                break
-        if bad:
-            break
-    reports["K3"] = PropertyReport(
-        "K3_member_subspace_intersections", bad is None, f"exhaustive<= {n_max}", bad,
-        {"intersections_checked": checked, "empty_intersections_skipped": skipped_empty},
-    )
+                })
 
-    bad = None
-    checked = 0
-    skipped_empty = 0
-    for zx in spaces_up_to(n_max):
-        for zy in spaces_up_to(n_max):
-            member_subs = [
-                b for b in range(1, zy.full + 1) if predicate(subspace(zy, b).space)
-            ]
-            for f in continuous_maps_list(zx, zy):
-                for b in member_subs:
-                    pre = preimage(f, b)
-                    if pre == 0:
-                        skipped_empty += 1
-                        continue
-                    checked += 1
-                    if not predicate(subspace(zx, pre).space):
-                        bad = {
-                            "dom_up": [list(points_of(u)) for u in zx.up],
-                            "cod_up": [list(points_of(u)) for u in zy.up],
+    def k4():
+        for zx in spaces:
+            for zy, members in zip(spaces, carriers):
+                for f in continuous_maps_list(zx, zy):
+                    for b in members:
+                        pre = preimage(f, b)
+                        yield _subspace_item(predicate, zx, pre, lambda: {
+                            "dom_up": _ups(zx),
+                            "cod_up": _ups(zy),
                             "map": list(f.table),
                             "member_subspace": list(points_of(b)),
                             "preimage": list(points_of(pre)),
-                        }
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    reports["K4"] = PropertyReport(
-        "K4_preimages_of_member_subspaces", bad is None, f"exhaustive<= {n_max}", bad,
-        {"preimages_checked": checked, "empty_preimages_skipped": skipped_empty},
-    )
-    return reports
+                        })
+
+    return {
+        "K1": _sweep("K1_contains_all_sober", n_max, k1(), "spaces_checked"),
+        "K2": _sweep("K2_homeomorphism_invariant", n_max, k2(), "relabelings_checked"),
+        "K3": _sweep("K3_member_subspace_intersections", n_max, k3(),
+                     "intersections_checked", "empty_intersections_skipped"),
+        "K4": _sweep("K4_preimages_of_member_subspaces", n_max, k4(),
+                     "preimages_checked", "empty_preimages_skipped"),
+    }
 
 
 def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[str, PropertyReport]:
@@ -375,79 +375,46 @@ def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[
     productive (binary products), b-closed-hereditary, has equalizers
     (the subspace equalizer of member-valued parallel pairs is a member;
     empty equalizers exempt, counted)."""
-    reports: dict[str, PropertyReport] = {}
     members = [z for z in spaces_up_to(n_max) if predicate(z)]
 
-    bad = None
-    checked = 0
-    for a in members:
-        for b in members:
-            prod = product([a, b])
-            checked += 1
-            if not predicate(prod.space):
-                bad = {
-                    "left_up": [list(points_of(u)) for u in a.up],
-                    "right_up": [list(points_of(u)) for u in b.up],
-                    "product_points": prod.space.n,
-                }
-                break
-        if bad:
-            break
-    reports["productive"] = PropertyReport(
-        "productive", bad is None, f"exhaustive<= {n_max}", bad,
-        {"products_checked": checked, "members": len(members)},
-    )
+    def productive():
+        for a in members:
+            for b in members:
+                prod = product([a, b])
+                if predicate(prod.space):
+                    yield None
+                else:
+                    yield {"left_up": _ups(a), "right_up": _ups(b),
+                           "product_points": prod.space.n}
 
-    bad = None
-    checked = 0
-    for z in members:
-        for b in range(1, z.full + 1):
-            if not is_b_closed(z, b):
-                continue
-            checked += 1
-            if not predicate(subspace(z, b).space):
-                bad = {
-                    "space_up": [list(points_of(u)) for u in z.up],
-                    "b_closed_subset": list(points_of(b)),
-                }
-                break
-        if bad:
-            break
-    reports["b_closed_hereditary"] = PropertyReport(
-        "b_closed_hereditary", bad is None, f"exhaustive<= {n_max}", bad,
-        {"subspaces_checked": checked},
-    )
+    def hereditary():
+        for z in members:
+            for b in range(1, z.full + 1):
+                if is_b_closed(z, b):
+                    yield _subspace_item(predicate, z, b, lambda: {
+                        "space_up": _ups(z), "b_closed_subset": list(points_of(b)),
+                    })
 
-    bad = None
-    checked = 0
-    skipped_empty = 0
-    for a in members:
-        for b in members:
-            maps = continuous_maps_list(a, b)
-            for f in maps:
-                for g in maps:
-                    e = equalizer(f, g)
-                    if e == 0:
-                        skipped_empty += 1
-                        continue
-                    checked += 1
-                    if not predicate(subspace(a, e).space):
-                        bad = {
-                            "dom_up": [list(points_of(u)) for u in a.up],
-                            "cod_up": [list(points_of(u)) for u in b.up],
+    def equalizers():
+        for a in members:
+            for b in members:
+                maps = continuous_maps_list(a, b)
+                for f in maps:
+                    for g in maps:
+                        e = equalizer(f, g)
+                        yield _subspace_item(predicate, a, e, lambda: {
+                            "dom_up": _ups(a),
+                            "cod_up": _ups(b),
                             "f": list(f.table),
                             "g": list(g.table),
                             "equalizer": list(points_of(e)),
-                        }
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    reports["has_equalizers"] = PropertyReport(
-        "has_equalizers", bad is None, f"exhaustive<= {n_max}", bad,
-        {"equalizers_checked": checked, "empty_equalizers_skipped": skipped_empty},
-    )
-    return reports
+                        })
+
+    return {
+        "productive": _sweep("productive", n_max, productive(), "products_checked",
+                             members=len(members)),
+        "b_closed_hereditary": _sweep("b_closed_hereditary", n_max, hereditary(),
+                                      "subspaces_checked"),
+        "has_equalizers": _sweep("has_equalizers", n_max, equalizers(),
+                                 "equalizers_checked", "empty_equalizers_skipped"),
+    }

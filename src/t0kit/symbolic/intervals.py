@@ -275,11 +275,6 @@ class ScottQSubspace:
         ubs = self.carrier & interval(c, 3, True, True)
         return ubs.least()
 
-    def is_irreducible_closed(self, s: QIntervalSet) -> bool:
-        """Nonempty closed traces of a chain are directed, hence
-        irreducible."""
-        return (not s.is_empty) and self.is_closed(s)
-
     def truncation_carrier(self, bound: int) -> tuple[Fraction, ...]:
         """First `bound` carrier rationals in the canonical enumeration
         (ascending denominator, then numerator, lowest terms)."""

@@ -45,10 +45,6 @@ def check_point(p: Point) -> Point:
     return (m, j)
 
 
-def is_top(p: Point) -> bool:
-    return p[1] is None
-
-
 def leq_points(p: Point, q: Point) -> bool:
     (m, j), (m2, j2) = check_point(p), check_point(q)
     if m == m2:

@@ -32,7 +32,6 @@ def test_space_counts(n, count):
     assert len(all_spaces(n)) == count
 
 
-@pytest.mark.slow
 def test_space_count_six():
     assert len(all_spaces(6)) == 318
 

@@ -3,7 +3,8 @@
 The five checkers are exercised on handcrafted spaces, then swept over
 every space with up to 4 points (the 5-point sweep is the acceptance
 suite's job).  The way-below reduction and the structural OWF tier are
-both validated against their literal quantifier counterparts here."""
+both validated against their literal quantifier counterparts here; the
+literal way-below table (_way_below_literal) is built once per space."""
 
 import pytest
 
@@ -87,9 +88,10 @@ def test_way_below_reduction_matches_literal():
         opens = all_opens(sp)
         if len(opens) > caps.cap("owf_opens"):
             continue  # literal quantifier guarded beyond the cap
-        for u in opens:
-            for v in opens:
-                assert way_below_opens(sp, u, v) == _way_below_literal(sp, u, v)
+        below, _ = _way_below_literal(sp)
+        for i, u in enumerate(opens):
+            for j, v in enumerate(opens):
+                assert way_below_opens(sp, u, v) == bool(below[j] >> i & 1)
 
 
 def test_owf_tiers_agree_where_both_run():
@@ -114,13 +116,16 @@ def test_filtered_families_contain_their_least_member():
     for sp in spaces_up_to(3):
         opens = all_opens(sp)
         m = len(opens)
+        below, _ = _way_below_literal(sp)
+        index = {w: i for i, w in enumerate(opens)}
+
+        def way_below(u, v):
+            return bool(below[index[v]] >> index[u] & 1)
+
         for fam in range(1, 1 << m):
             members = [opens[i] for i in range(m) if (fam >> i) & 1]
             filtered = all(
-                any(
-                    _way_below_literal(sp, w, a) and _way_below_literal(sp, w, b)
-                    for w in members
-                )
+                any(way_below(w, a) and way_below(w, b) for w in members)
                 for a in members
                 for b in members
             )

@@ -23,6 +23,7 @@ from t0kit.finite_space import (
 from t0kit.properties import CHECKERS
 from t0kit.reflection_lab import (
     REGISTRY,
+    ClassPredicate,
     check_closure_properties,
     check_K_conditions,
     construct_reflection,
@@ -154,11 +155,39 @@ def test_negative_control_two_plus_fails_intersections():
     assert all(len(member) >= 2 for member in fam)
 
 
+def _tallies(reports):
+    # details as ordered item lists, so key order is pinned too
+    return {key: list(r.details.items()) for key, r in reports.items()}
+
+
 def test_k_conditions_hold_for_full_class():
     reports = check_K_conditions(REGISTRY["all_t0"], n_max=3)
     assert all(r.holds for r in reports.values())
     closure = check_closure_properties(REGISTRY["all_t0"], n_max=3)
     assert all(r.holds for r in closure.values())
+    assert all(r.method == "exhaustive<= 3" for r in [*reports.values(), *closure.values()])
+    assert _tallies(reports) == {
+        "K1": [("spaces_checked", 8)],
+        "K2": [("relabelings_checked", 35)],
+        "K3": [("intersections_checked", 42), ("empty_intersections_skipped", 7)],
+        "K4": [("preimages_checked", 2402), ("empty_preimages_skipped", 630)],
+    }
+    assert _tallies(closure) == {
+        "productive": [("products_checked", 64), ("members", 8)],
+        "b_closed_hereditary": [("subspaces_checked", 42)],
+        "has_equalizers": [("equalizers_checked", 4696), ("empty_equalizers_skipped", 1946)],
+    }
+
+
+def test_k2_fails_for_a_labelling_dependent_class():
+    # "point 0 is minimal" depends on the labels: swapping the 2-chain's
+    # points moves point 0 to the top
+    pred = ClassPredicate("point0_minimal", lambda sp: sp.down[0] == 1)
+    k2 = check_K_conditions(pred, n_max=3)["K2"]
+    assert not k2.holds
+    assert k2.witness == {"space_up": [[0], [0, 1]], "relabeling": [1, 0]}
+    # the failing relabeling is counted, like every sweep's failing instance
+    assert k2.details == {"relabelings_checked": 5}
 
 
 def test_k_conditions_for_sober_class():
@@ -187,6 +216,17 @@ def test_k4_witness_for_two_point_class():
     assert not reports["K4"].holds
     w = reports["K4"].witness
     assert w is not None and len(w["preimage"]) > 2
+    # the failing instance is counted; the sweep stops there
+    assert reports["K1"].details == {"spaces_checked": 4}
+    assert list(reports["K4"].details.items()) == [
+        ("preimages_checked", 368), ("empty_preimages_skipped", 185)]
+    closure = check_closure_properties(REGISTRY["at_most_two_points"], n_max=3)
+    assert not closure["productive"].holds
+    assert list(closure["productive"].details.items()) == [
+        ("products_checked", 5), ("members", 3)]
+    assert closure["has_equalizers"].holds
+    assert list(closure["has_equalizers"].details.items()) == [
+        ("equalizers_checked", 40), ("empty_equalizers_skipped", 16)]
 
 
 def test_subspace_members_feed_k3():

@@ -144,7 +144,6 @@ def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
 class ProductResult:
     space: FiniteSpace
     factors: tuple[FiniteSpace, ...]
-    projections: tuple[SpaceMap, ...]
 
     def index(self, coords: Sequence[int]) -> int:
         if len(coords) != len(self.factors):
@@ -161,67 +160,59 @@ class ProductResult:
             out.append(c)
         return tuple(reversed(out))
 
+    def projection(self, k: int) -> SpaceMap:
+        """The continuous map onto factor k, built on demand."""
+        table = tuple(self.coords(i)[k] for i in range(self.space.n))
+        return SpaceMap(self.space, self.factors[k], table)
+
 
 def product(factors: Sequence[FiniteSpace]) -> ProductResult:
     """Finite product; the empty product is the one-point space.
 
     Points are tuples indexed with the first coordinate most significant.
-    The product order is componentwise, so up[(a, b)] is built by planting
-    a copy of up_B[b] at each slot c * |B| for c in up_A[a]; a plain big-int
-    multiply does all slots at once.
+    The factors are folded in from the last, each new factor S becoming
+    the top coordinate over the n points built so far: (c, a) is c * n + a.
+    The order is componentwise, so up[(c, a)] plants a copy of up[a] at
+    each slot d * n for d in up_S[c]; up_S[c] is spread to stride n once,
+    and a plain big-int multiply by up[a] does all slots at once.
     """
     n = 1
     up = [1]
     down = [1]
-    for s in factors:
+    for s in reversed(factors):
         caps.guard(n * s.n, caps.cap("product"), "product carrier size")
-        new_up = []
-        new_down = []
-        for a in range(n):
-            spread_u = 0
-            for c in iter_bits(up[a]):
-                spread_u |= 1 << (c * s.n)
-            spread_d = 0
-            for c in iter_bits(down[a]):
-                spread_d |= 1 << (c * s.n)
-            for b in range(s.n):
-                new_up.append(spread_u * s.up[b])
-                new_down.append(spread_d * s.down[b])
+        up = [su * u for su in _spread(s.up, n) for u in up]
+        down = [sd * d for sd in _spread(s.down, n) for d in down]
         n *= s.n
-        up, down = new_up, new_down
-    space = FiniteSpace(n, tuple(up), tuple(down))
-    result = ProductResult(space, tuple(factors), ())
-    projections = []
-    for k in range(len(factors)):
-        table = tuple(result.coords(i)[k] for i in range(n))
-        projections.append(SpaceMap(space, factors[k], table))
-    return ProductResult(space, tuple(factors), tuple(projections))
+    return ProductResult(FiniteSpace(n, tuple(up), tuple(down)), tuple(factors))
+
+
+def _spread(masks: Sequence[PointSet], stride: int) -> list[PointSet]:
+    """Each mask with bit d moved to bit d * stride."""
+    return [sum(1 << (d * stride) for d in iter_bits(m)) for m in masks]
 
 
 @dataclass(frozen=True)
 class SierpinskiPower:
-    """(Sigma2)^m with a bitcode view: coordinate k of a point is bit k."""
+    """(Sigma2)^m with a bitcode view: coordinate k of a point is bit k of
+    its code.  The product indexes the first coordinate most significant,
+    so coordinate k is bit m-1-k of the index, and encode and decode are
+    the same m-bit reversal."""
 
-    result: ProductResult
+    space: FiniteSpace
     m: int
 
-    @property
-    def space(self) -> FiniteSpace:
-        return self.result.space
-
     def encode(self, bitcode: int) -> int:
-        return self.result.index(tuple((bitcode >> k) & 1 for k in range(self.m)))
+        index = 0
+        for k in range(self.m):
+            index = index << 1 | (bitcode >> k) & 1
+        return index
 
-    def decode(self, index: int) -> int:
-        coords = self.result.coords(index)
-        code = 0
-        for k, v in enumerate(coords):
-            code |= v << k
-        return code
+    decode = encode
 
 
 def sierpinski_power(m: int) -> SierpinskiPower:
-    return SierpinskiPower(product([sigma2()] * m), m)
+    return SierpinskiPower(product([sigma2()] * m).space, m)
 
 
 def powerset_scott(m: int) -> FiniteSpace:

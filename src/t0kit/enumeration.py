@@ -93,18 +93,24 @@ def canonicalize(space: FiniteSpace) -> FiniteSpace:
     return relabel_space(space, canonical_form(space).relabel)
 
 
-@functools.lru_cache(maxsize=None)
 def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """All T0 spaces on n points up to homeomorphism, canonically labeled.
 
-    Every finite T0 space has a maximal point whose removal leaves a
-    smaller space in which the removed point's strict down-set is a
-    down-set; re-adding a maximal point over each down-set therefore
-    reaches every class."""
+    The enum cap is checked before the cache, so a result cached under a
+    higher cap is not returned under a lower one."""
     if n > caps.cap("enum"):
         raise CapExceeded(f"space enumeration capped at {caps.cap('enum')} points")
     if n < 1:
         raise CapExceeded("space enumeration needs n >= 1")
+    return _all_spaces(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_spaces(n: int) -> tuple[FiniteSpace, ...]:
+    """Every finite T0 space has a maximal point whose removal leaves a
+    smaller space in which the removed point's strict down-set is a
+    down-set; re-adding a maximal point over each down-set therefore
+    reaches every class."""
     if n == 1:
         return (FiniteSpace(1, (1,), (1,)),)
     seen: dict[tuple[PointSet, ...], FiniteSpace] = {}
@@ -119,6 +125,9 @@ def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
             if form.key not in seen:
                 seen[form.key] = relabel_space(sp, form.relabel)
     return tuple(seen[k] for k in sorted(seen))
+
+
+all_spaces.cache_clear = _all_spaces.cache_clear
 
 
 def spaces_up_to(n: int) -> Iterator[FiniteSpace]:
@@ -151,12 +160,20 @@ def all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMap
     yield from place(0)
 
 
-@functools.lru_cache(maxsize=4096)
 def continuous_maps_list(dom: FiniteSpace, cod: FiniteSpace) -> tuple[SpaceMap, ...]:
-    """Materialized (and cached) variant, guarded by the loose bound."""
+    """Materialized (and cached) variant, guarded by the loose bound,
+    which is checked before the cache as in all_spaces."""
     bound = cod.n ** dom.n
     if bound > caps.cap("maps"):
         raise CapExceeded(
             f"map table {cod.n}^{dom.n} exceeds {caps.cap('maps')}; stream instead"
         )
+    return _continuous_maps_list(dom, cod)
+
+
+@functools.lru_cache(maxsize=4096)
+def _continuous_maps_list(dom: FiniteSpace, cod: FiniteSpace) -> tuple[SpaceMap, ...]:
     return tuple(all_continuous_maps(dom, cod))
+
+
+continuous_maps_list.cache_clear = _continuous_maps_list.cache_clear

@@ -5,8 +5,9 @@ import threading
 import pytest
 
 from t0kit import caps
+from t0kit.enumeration import all_spaces, continuous_maps_list
 from t0kit.errors import CapExceeded
-from t0kit.finite_space import FiniteSpace, antichain
+from t0kit.finite_space import FiniteSpace, antichain, chain
 
 
 def test_defaults_visible_in_summary():
@@ -89,3 +90,19 @@ def test_scoped_allows_wide_carriers():
 def test_guard_message_names_the_quantity():
     with pytest.raises(CapExceeded, match="widget count: 7 exceeds cap 3"):
         caps.guard(7, 3, "widget count")
+
+
+def test_cached_all_spaces_respects_a_lower_enum_cap():
+    assert len(all_spaces(5)) == 63
+    with caps.scoped(enum=4):
+        with pytest.raises(CapExceeded):
+            all_spaces(5)
+        assert len(all_spaces(4)) == 16
+
+
+def test_cached_maps_list_respects_a_lower_maps_cap():
+    dom, cod = chain(3), antichain(4)  # 4^3 = 64 candidate tables
+    assert len(continuous_maps_list(dom, cod)) == 4
+    with caps.scoped(maps=10):
+        with pytest.raises(CapExceeded):
+            continuous_maps_list(dom, cod)

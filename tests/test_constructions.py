@@ -92,31 +92,47 @@ def test_subspace_of_chain():
         subspace(chain(4), 0)
 
 
+def _literal_product_check(factors):
+    """up, down, index and coords against the componentwise double loop."""
+    prod = product(factors)
+    grid = list(itertools.product(*(range(s.n) for s in factors)))
+    assert prod.space.n == len(grid)
+    # first coordinate most significant: the grid in lexicographic order
+    assert [prod.index(xs) for xs in grid] == list(range(len(grid)))
+
+    def leq(xs, ys):
+        return all(s.leq(x, y) for s, x, y in zip(factors, xs, ys))
+
+    for xs in grid:
+        idx = prod.index(xs)
+        assert prod.coords(idx) == xs
+        up = 0
+        down = 0
+        for ys in grid:
+            j = prod.index(ys)
+            if leq(xs, ys):
+                up |= 1 << j
+            if leq(ys, xs):
+                down |= 1 << j
+        assert prod.space.up[idx] == up
+        assert prod.space.down[idx] == down
+
+
 def test_product_against_literal_oracle():
-    a, b = sigma2(), chain(3)
-    prod = product([a, b])
-    assert prod.space.n == 6
-    for x1 in range(a.n):
-        for y1 in range(b.n):
-            idx = prod.index((x1, y1))
-            assert prod.coords(idx) == (x1, y1)
-            up = 0
-            down = 0
-            for x2 in range(a.n):
-                for y2 in range(b.n):
-                    j = prod.index((x2, y2))
-                    if a.leq(x1, x2) and b.leq(y1, y2):
-                        up |= 1 << j
-                    if a.leq(x2, x1) and b.leq(y2, y1):
-                        down |= 1 << j
-            assert prod.space.up[idx] == up
-            assert prod.space.down[idx] == down
+    for factors in (
+        [sigma2(), chain(3)],
+        [v_poset(), antichain(2), chain(3)],
+        [v_poset()],
+        [sigma2()] * 4,
+    ):
+        _literal_product_check(factors)
 
 
 def test_projections_continuous():
     prod = product([sigma2(), chain(3), antichain(2)])
     assert prod.space.n == 12
-    for p in prod.projections:
+    for k in range(3):
+        p = prod.projection(k)
         assert is_monotone(p) and is_preimage_continuous(p)
 
 
@@ -135,6 +151,19 @@ def test_sierpinski_power_codes():
     for c1 in range(8):
         for c2 in range(8):
             assert pw.space.leq(pw.encode(c1), pw.encode(c2)) == is_subset(c1, c2)
+
+
+def test_sierpinski_power_bit_convention():
+    # coordinate k is bit k of the code and bit m-1-k of the point index
+    assert [sierpinski_power(3).encode(c) for c in range(8)] == [0, 4, 2, 6, 1, 5, 3, 7]
+    for m in range(6):
+        pw = sierpinski_power(m)
+        prod = product([sigma2()] * m)
+        assert pw.space == prod.space
+        for code in range(1 << m):
+            idx = prod.index(tuple((code >> k) & 1 for k in range(m)))
+            assert pw.encode(code) == idx
+            assert pw.decode(idx) == code
 
 
 def test_powerset_scott_frozen():

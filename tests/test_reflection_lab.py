@@ -69,6 +69,13 @@ def test_sobrify_details():
     assert res2.details["image_size"] == res2.details["b_closure_size"] == 2
 
 
+def test_sobrify_bclosure_v_poset_pinned():
+    res = sobrify_bclosure(v_poset())
+    assert res.unit.table == (1, 0, 2)
+    assert res.details == {"power_exponent": 4, "image_size": 3, "b_closure_size": 3}
+    assert res.space.up == (5, 6, 4)
+
+
 def test_k_closure_sober_is_identity_on_carriers():
     z = chain(3)
     for a in range(1, z.full + 1):

@@ -1,11 +1,12 @@
 """Size guards.
 
 Everything here is about refusing work whose cost is exponential in the
-carrier or the number of opens.  DEFAULTS names every cap; cap(name)
-reads the one in force.  T0KIT_CAP overrides the defaults: either "N"
-(carrier cap) or "N,M" (carrier cap, product point cap).  Callers that
-legitimately need more room for one construction (say, a wide truncation
-of an infinite example) use scoped() rather than mutating globals.
+carrier or the number of opens.  DEFAULTS names every cap; cap(name) is
+the only code that picks the one in force: the innermost scoped() value,
+else T0KIT_CAP (read at call time; "N" is the carrier cap, "N,M" the
+carrier and product point caps), else DEFAULTS.  Callers that need more
+room for one construction use scoped() rather than mutating globals;
+truncations of infinite examples go through truncation().
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import Any, Callable
 
-from .errors import CapExceeded
+from .errors import BadParams, CapExceeded
 
 DEFAULTS = {
     "carrier": 16,
@@ -65,8 +67,7 @@ def scoped(**limits: int):
 
 
 def cap(name: str) -> int:
-    """The cap in force: the innermost scoped() value, else T0KIT_CAP
-    (read at call time), else DEFAULTS[name]."""
+    """The cap in force, by the precedence in the module docstring."""
     scoped_caps = _SCOPED.get()
     if name in scoped_caps:
         return scoped_caps[name]
@@ -77,14 +78,18 @@ def cap(name: str) -> int:
 
 def caps_summary() -> dict:
     """Echoed into reports so a verdict is never read without its bounds."""
-    scoped_caps = _SCOPED.get()
-    env = {} if all(n in scoped_caps for n in _ENV_NAMES) else _env_caps()
-    return {
-        f"{name}_cap": scoped_caps.get(name, env.get(name, default))
-        for name, default in DEFAULTS.items()
-    }
+    return {f"{name}_cap": cap(name) for name in DEFAULTS}
 
 
 def guard(value: int, cap: int, what: str) -> None:
     if value > cap:
         raise CapExceeded(f"{what}: {value} exceeds cap {cap}")
+
+
+def truncation(n: int, build: Callable[[int], Any]) -> Any:
+    """build(n), n in 1..truncate cap, with the carrier cap raised to fit."""
+    if n < 1:
+        raise BadParams("truncation bound must be at least 1")
+    guard(n, cap("truncate"), "truncation size")
+    with scoped(carrier=max(n, DEFAULTS["carrier"])):
+        return build(n)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from . import caps
 from .constructions import SpaceMap
-from .errors import CapExceeded
+from .errors import CapExceeded, EmptyCarrier
 from .finite_space import FiniteSpace, PointSet, all_opens, dual, iter_bits
 
 
@@ -101,7 +101,7 @@ def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     if n > caps.cap("enum"):
         raise CapExceeded(f"space enumeration capped at {caps.cap('enum')} points")
     if n < 1:
-        raise CapExceeded("space enumeration needs n >= 1")
+        raise EmptyCarrier("space enumeration needs n >= 1")
     return _all_spaces(n)
 
 

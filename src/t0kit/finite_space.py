@@ -166,15 +166,19 @@ def from_opens(n: int, opens: Iterable[PointSet], strict: bool = False) -> Finit
     return space
 
 
-@functools.lru_cache(maxsize=2048)
 def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
     """All open sets, i.e. all up-sets, enumerated output-sensitively.
 
     Every up-set is a union of minimal neighborhoods, so closing {0}
     under s -> s | up[x] reaches each open once.  Cost is O(|opens| * n)
     set operations, never 2^n, but the count itself can be 2^n: guarded.
+    The limit is in the cache key, so no cached result outlives its cap.
     """
-    limit = 1 << min(space.n, caps.cap("carrier"))
+    return _all_opens(space, 1 << min(space.n, caps.cap("carrier")))
+
+
+@functools.lru_cache(maxsize=2048)
+def _all_opens(space: FiniteSpace, limit: int) -> tuple[PointSet, ...]:
     found = {0}
     frontier = [0]
     while frontier:
@@ -187,6 +191,10 @@ def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
                 if len(found) > limit:
                     raise CapExceeded(f"open-set count exceeds {limit}")
     return tuple(sorted(found))
+
+
+all_opens.cache_clear = _all_opens.cache_clear
+all_opens.cache_info = _all_opens.cache_info
 
 
 def dual(space: FiniteSpace) -> FiniteSpace:

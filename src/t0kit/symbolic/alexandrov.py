@@ -183,11 +183,7 @@ class AlexandrovNat:
     def truncate(self, bound: int) -> FiniteSpace:
         """Trace on {0..bound-1}: the final segments cut down to the
         up-sets of a finite chain."""
-        if bound < 1:
-            raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.cap("truncate"), "truncation size")
-        with caps.scoped(carrier=max(bound, caps.DEFAULTS["carrier"])):
-            return chain(bound)
+        return caps.truncation(bound, chain)
 
 
 def check_cosober_alexandrov(bound: int = 50) -> Verdict:

@@ -190,11 +190,7 @@ class CofiniteNat:
     def truncate(self, bound: int) -> FiniteSpace:
         """Trace on {1..bound}: discrete, since any subset of a finite
         piece extends to a cofinite set."""
-        if bound < 1:
-            raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.cap("truncate"), "truncation size")
-        with caps.scoped(carrier=max(bound, caps.DEFAULTS["carrier"])):
-            return antichain(bound)
+        return caps.truncation(bound, antichain)
 
 
 def check_owf_refutation(

@@ -300,9 +300,7 @@ class ScottQSubspace:
     def truncate(self, bound: int) -> FiniteSpace:
         """Trace topology on the first `bound` canonical rationals:
         final-segment traces on a finite chain are its up-sets."""
-        pts = self.truncation_carrier(bound)
-        with caps.scoped(carrier=max(len(pts), caps.DEFAULTS["carrier"])):
-            return chain(len(pts))
+        return caps.truncation(len(self.truncation_carrier(bound)), chain)
 
 
 def scott_full() -> ScottQSubspace:

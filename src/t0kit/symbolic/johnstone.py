@@ -332,15 +332,14 @@ def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[P
 
 def _space_from_points(pts: list[Point]) -> FiniteSpace:
     n = len(pts)
-    caps.guard(n, caps.cap("truncate"), "truncation size")
+    caps.guard(n, caps.cap("truncate"), "truncation size")  # before the n^2 loop
     pairs = [
         (i, k)
         for i, p in enumerate(pts)
         for k, q in enumerate(pts)
         if leq_points(p, q)
     ]
-    with caps.scoped(carrier=max(n, caps.DEFAULTS["carrier"])):
-        return from_order(n, pairs)
+    return caps.truncation(n, lambda n: from_order(n, pairs))
 
 
 def truncate_grid(columns: int, height: int) -> FiniteSpace:
@@ -395,7 +394,7 @@ class MinSelector:
         return _ev_height(self.ev_kind, self.ev_val, m)
 
 
-def min_selector(u: JohnstoneOpen, bound: int = 8) -> MinSelector:
+def min_selector(u: JohnstoneOpen) -> MinSelector:
     """The column minimum map of a nonempty representable open.
 
     top_bound is the largest removed-top column (0 if none); for every
@@ -404,8 +403,7 @@ def min_selector(u: JohnstoneOpen, bound: int = 8) -> MinSelector:
     if u.is_empty:
         raise EmptyOpen("the empty open has no column minima")
     m0 = u.band
-    hor = max(u.horizon(), m0 + bound)
-    prefix = tuple(u.height(m) + 1 for m in range(m0 + 1, hor + 1))
+    prefix = tuple(u.height(m) + 1 for m in range(m0 + 1, u.horizon() + 1))
     sel = MinSelector(m0, prefix, u.ev_kind, u.ev_val + 1)
     while len(sel.prefix) and sel.prefix[-1] == _ev_height(
         sel.ev_kind, sel.ev_val, m0 + len(sel.prefix)
@@ -423,6 +421,11 @@ def cover_member(sel: MinSelector, k: int) -> JohnstoneOpen:
     return _from_profile(frozenset(), heights, (sel.ev_kind, sel.ev_val))
 
 
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise BadParams("the check bound must be at least 1")
+
+
 def check_way_below(u: JohnstoneOpen, v: JohnstoneOpen, bound: int = 30) -> Verdict:
     """Decide whether u is way below v, per the cover criterion.
 
@@ -433,10 +436,11 @@ def check_way_below(u: JohnstoneOpen, v: JohnstoneOpen, bound: int = 30) -> Verd
     u for every k.  The identities behind the three clauses are checked
     on `bound` instances and hold for all k by the selector arithmetic,
     so nonempty always comes back Refuted."""
+    _check_bound(bound)
     claim = f"way below: {u!r} << {v!r}"
     if u.is_empty:
         return holds(claim, "trivial", details={"reason": "empty set is way below everything"})
-    sel = min_selector(u, bound)
+    sel = min_selector(u)
     start = sel.top_bound + 1
     ks = list(range(start, start + bound))
     members = {k: cover_member(sel, k) for k in ks}
@@ -495,6 +499,7 @@ def check_claim_way_below_trivial(bound: int = 30,
                                   samples: list[JohnstoneOpen] | None = None) -> Verdict:
     """Way-below is trivial on representable opens: only the empty set
     is way below anything."""
+    _check_bound(bound)
     samples = default_sample_opens() if samples is None else samples
     sub = []
     ok = True
@@ -526,6 +531,7 @@ def check_claim_owf(bound: int = 30,
     empty open satisfies the filtration condition against every u.  The
     search over the pool is exhaustive; the verdict stays bounded
     because the pool is."""
+    _check_bound(bound)
     samples = default_sample_opens() if samples is None else samples
     wb = {i: check_way_below(u, FULL_OPEN, 8).kind == "holds"
           for i, u in enumerate(samples)}
@@ -594,6 +600,7 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
     finite point meets the top row in a final segment of columns, so
     any nonempty Scott open traces cofinitely) is order arithmetic,
     checked exhaustively on a grid."""
+    _check_bound(bound)
     ks = [KnSubspace(n) for n in range(1, bound + 1)]
     # finite points leave, tops stay: sampled grid plus the exact excluder
     for m in range(1, bound + 1):

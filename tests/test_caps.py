@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
-from t0kit import caps
+from t0kit import caps, enumeration, finite_space
 from t0kit.enumeration import all_spaces, continuous_maps_list
 from t0kit.errors import CapExceeded
-from t0kit.finite_space import FiniteSpace, antichain, chain
+from t0kit.finite_space import FiniteSpace, all_opens, antichain, chain
 
 
 def test_defaults_visible_in_summary():
@@ -106,3 +106,45 @@ def test_cached_maps_list_respects_a_lower_maps_cap():
     with caps.scoped(maps=10):
         with pytest.raises(CapExceeded):
             continuous_maps_list(dom, cod)
+
+
+def test_cached_all_opens_respects_a_lower_carrier_cap():
+    sp = antichain(5)
+    assert len(all_opens(sp)) == 32
+    with caps.scoped(carrier=3):
+        with pytest.raises(CapExceeded, match="open-set count exceeds 8"):
+            all_opens(sp)
+    assert len(all_opens(sp)) == 32
+
+
+def _summary_from_cap():
+    return {f"{name}_cap": caps.cap(name) for name in caps.DEFAULTS}
+
+
+def test_summary_follows_cap_under_env_and_scopes(monkeypatch):
+    monkeypatch.setenv("T0KIT_CAP", "20, 9000")
+    assert caps.caps_summary() == _summary_from_cap()
+    assert caps.caps_summary()["product_cap"] == 9000
+    with caps.scoped(carrier=40, enum=3):
+        assert caps.caps_summary() == _summary_from_cap()
+        with caps.scoped(carrier=30, product=50):
+            summary = caps.caps_summary()
+            assert summary == _summary_from_cap()
+            assert (summary["carrier_cap"], summary["product_cap"]) == (30, 50)
+            assert summary["enum_cap"] == 3
+        assert caps.caps_summary()["product_cap"] == 9000
+    monkeypatch.setenv("T0KIT_CAP", "nope")
+    with pytest.raises(CapExceeded):
+        caps.caps_summary()
+
+
+def test_cache_controls_stay_public():
+    # the benchmark harness empties these caches and reads the opens hit ratio
+    for cached in (finite_space.all_opens, enumeration.all_spaces,
+                   enumeration.continuous_maps_list):
+        cached.cache_clear()
+    before = finite_space.all_opens.cache_info()
+    all_opens(chain(3))
+    all_opens(chain(3))
+    after = finite_space.all_opens.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)

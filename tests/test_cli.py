@@ -179,6 +179,9 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("space Z\npoints a b\nle a b\nle b a\n")
     assert main(["check", str(bad)]) == 2
     assert main(["enumerate", "--size", "9"]) == 3
+    assert main(["enumerate", "--size", "0"]) == 2
+    assert main(["corpus", "run", "--bound", "0"]) == 2
+    assert main(["corpus", "run", "--bound", "-3"]) == 2
     assert main(["enumerate", "--size", "3", "--where", "sober &"]) == 64
     assert main(["enumerate", "--size", "3", "--where", "shiny"]) == 64
     assert main(["bogus"]) == 64

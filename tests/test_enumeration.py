@@ -21,7 +21,7 @@ from t0kit.enumeration import (
     relabel_space,
     spaces_up_to,
 )
-from t0kit.errors import CapExceeded
+from t0kit.errors import CapExceeded, EmptyCarrier
 from t0kit.finite_space import FiniteSpace, antichain, chain, from_order, sigma2, v_poset
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -39,6 +39,11 @@ def test_space_count_six():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         all_spaces(7)
+
+
+def test_enumeration_of_an_empty_carrier_is_not_a_cap():
+    with pytest.raises(EmptyCarrier):
+        all_spaces(0)
 
 
 def _labeled_pipeline(n: int):

@@ -14,7 +14,9 @@ from t0kit.symbolic.johnstone import (
     FULL_OPEN,
     JohnstoneSpace,
     KnSubspace,
+    check_claim_owf,
     check_claim_top_row,
+    check_claim_way_below_trivial,
     check_johnstone_claims,
     check_point,
     check_way_below,
@@ -219,7 +221,7 @@ def test_way_below_refuted_with_reusable_witness():
     assert w["instances_checked"] == 20
     assert "every v" in w["scope"]
     # re-validate the named cover clause by clause with the primitives
-    sel = min_selector(u, 20)
+    sel = min_selector(u)
     members = [cover_member(sel, k) for k in range(1, 21)]
     for a, b in zip(members, members[1:]):
         assert a <= b
@@ -251,6 +253,21 @@ def test_claims_bundle():
     assert claims[2].bound >= 9
     assert "open_question" in claims[2].details
     assert claims[3].witness["homeomorphism"].startswith("column index")
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_check_bounds_below_one_are_refused(bound):
+    u = open_from_generators(tail=(1, "const", 1))
+    for check in (
+        lambda: check_way_below(u, FULL_OPEN, bound),
+        lambda: check_way_below(EMPTY_OPEN, FULL_OPEN, bound),
+        lambda: check_claim_way_below_trivial(bound, samples=[]),
+        lambda: check_claim_owf(bound, samples=[]),
+        lambda: check_claim_top_row(bound),
+        lambda: check_johnstone_claims(bound),
+    ):
+        with pytest.raises(BadParams):
+            check()
 
 
 def test_top_row_traces():

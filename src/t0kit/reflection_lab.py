@@ -16,6 +16,7 @@ controls."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -32,7 +33,7 @@ from .constructions import (
     subspace,
 )
 from .enumeration import continuous_maps_list, relabel_space, spaces_up_to
-from .errors import EmptyCarrier
+from .errors import BadParams, EmptyCarrier
 from .finite_space import (
     FiniteSpace,
     PointSet,
@@ -154,6 +155,12 @@ def _ups(space: FiniteSpace) -> list[list[int]]:
     return [list(points_of(u)) for u in space.up]
 
 
+def _check_bounds(**bounds: int) -> None:
+    for name, value in bounds.items():
+        if value < 1:
+            raise BadParams(f"{name} must be at least 1")
+
+
 @dataclass(frozen=True)
 class ReflectionCheck:
     holds: bool
@@ -166,6 +173,7 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
     """Bounded universal property: the codomain is in the class and every
     map from the domain into a class member on at most test_bound points
     factors through eta exactly once."""
+    _check_bounds(test_bound=test_bound)
     x, y = eta.dom, eta.cod
     if not predicate(y):
         return ReflectionCheck(False, 0, test_bound,
@@ -174,10 +182,11 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
     for z in spaces_up_to(test_bound):
         if not predicate(z):
             continue
-        extensions = continuous_maps_list(y, z)
+        # f has one extension per g with g . eta == f: count g by that table
+        induced = Counter(compose(g, eta).table for g in continuous_maps_list(y, z))
         for f in continuous_maps_list(x, z):
-            matching = [g for g in extensions if compose(g, eta).table == f.table]
-            if len(matching) != 1:
+            count = induced[f.table]
+            if count != 1:
                 return ReflectionCheck(
                     False,
                     verified,
@@ -185,7 +194,7 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
                     {
                         "test_object_up": _ups(z),
                         "map": list(f.table),
-                        "extension_count": len(matching),
+                        "extension_count": count,
                     },
                 )
             verified += 1
@@ -216,6 +225,7 @@ def construct_reflection(
     member), the irreducible-closed-sets sobrification, then every map
     into every class member with at most target_bound points.  The first
     candidate passing the bounded universal property wins."""
+    _check_bounds(target_bound=target_bound, test_bound=test_bound)
 
     def finish(eta: SpaceMap, route: str) -> ReflectionResult | None:
         check = is_reflection(eta, predicate, test_bound)

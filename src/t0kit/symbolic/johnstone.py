@@ -533,7 +533,7 @@ def check_claim_owf(bound: int = 30,
     because the pool is."""
     _check_bound(bound)
     samples = default_sample_opens() if samples is None else samples
-    wb = {i: check_way_below(u, FULL_OPEN, 8).kind == "holds"
+    wb = {i: check_way_below(u, FULL_OPEN, bound).kind == "holds"
           for i, u in enumerate(samples)}
     families = 0
     filtered = 0

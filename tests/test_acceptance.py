@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from t0kit import reflection_lab
 from t0kit.b_topology import b_space, chain_pair_is_b_closed_sigma2, is_b_closed
 from t0kit.cli import _corpus_rows
 from t0kit.constructions import (
@@ -164,8 +165,16 @@ def test_criterion_5_two_route_sobrification(capsys):
           f"all {done} spaces with at most 12 opens ({secs:.1f}s, budget 120s)")
 
 
-def test_criterion_6_reflection_universal_property(capsys):
+def test_criterion_6_reflection_universal_property(capsys, monkeypatch):
     sober = REGISTRY["sober"]
+    composes = 0
+
+    def counting_compose(g, f):
+        nonlocal composes
+        composes += 1
+        return compose(g, f)
+
+    monkeypatch.setattr(reflection_lab, "compose", counting_compose)
     inclusions = 0
     classes = {}
     closure_ok = True
@@ -183,13 +192,14 @@ def test_criterion_6_reflection_universal_property(capsys):
         chk = is_reflection(eta, sober, test_bound=4)
         reflection_ok = reflection_ok and chk.holds and chk.verified_objects > 0
         factorizations += chk.verified_objects
-    ok = closure_ok and reflection_ok and inclusions == 282
+    ok = (closure_ok and reflection_ok and inclusions == 282
+          and composes <= factorizations)
     _line(capsys, 6, ok,
           f"each of the {inclusions} subspace inclusions into its class "
           f"closure is a reflection: every map into a class member with "
           f"<= 4 points factors through it exactly once "
           f"({factorizations} unique factorizations over "
-          f"{len(classes)} distinct subspace shapes)")
+          f"{len(classes)} distinct subspace shapes, {composes} compose calls)")
 
 
 def test_criterion_7_certificate_corpus(capsys):

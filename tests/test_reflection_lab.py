@@ -8,15 +8,23 @@ properties they are designed to fail, with machine-checkable witnesses."""
 
 import pytest
 
-from t0kit.constructions import find_homeomorphism, is_monotone, subspace
-from t0kit.enumeration import all_spaces, spaces_up_to
-from t0kit.errors import CapExceeded, EmptyCarrier
+from t0kit.constructions import (
+    compose,
+    find_homeomorphism,
+    is_monotone,
+    space_map,
+    subspace,
+)
+from t0kit.enumeration import all_spaces, continuous_maps_list, spaces_up_to
+from t0kit.errors import BadParams, CapExceeded, EmptyCarrier
 from t0kit.finite_space import (
     all_opens,
     antichain,
     chain,
     from_cover,
     mask_of,
+    point,
+    points_of,
     sigma2,
     v_poset,
 )
@@ -24,6 +32,7 @@ from t0kit.properties import CHECKERS
 from t0kit.reflection_lab import (
     REGISTRY,
     ClassPredicate,
+    ReflectionCheck,
     check_closure_properties,
     check_K_conditions,
     construct_reflection,
@@ -106,13 +115,82 @@ def test_is_reflection_identity_for_members():
 def test_is_reflection_rejects_wrong_unit():
     # collapsing sigma2 to a point is not a sober reflection: maps into
     # sigma2 itself cannot all factor
-    from t0kit.constructions import space_map
-    from t0kit.finite_space import point
-
     eta = space_map(sigma2(), point(), (0, 0))
     check = is_reflection(eta, SOBER, test_bound=2)
     assert not check.holds
-    assert check.witness is not None
+    assert check.verified_objects == 4
+    assert check.witness == {"test_object_up": [[0], [0, 1]], "map": [1, 0],
+                             "extension_count": 0}
+
+
+@pytest.mark.parametrize("table, verified, fmap", [((0,), 4, [1]), ((1,), 3, [0])])
+def test_is_reflection_rejects_a_unit_with_two_extensions(table, verified, fmap):
+    # point -> sigma2 is no sober reflection: the map into sigma2 that
+    # misses the image of eta extends along it in two ways
+    check = is_reflection(space_map(point(), sigma2(), table), SOBER, test_bound=2)
+    assert not check.holds
+    assert check.verified_objects == verified
+    assert check.witness == {"test_object_up": [[0], [0, 1]], "map": fmap,
+                             "extension_count": 2}
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_reflection_bounds_below_one_are_refused(bad):
+    # at bound 0 no test object exists, so the check would hold vacuously
+    eta = space_map(sigma2(), point(), (0, 0))
+    with pytest.raises(BadParams):
+        is_reflection(eta, SOBER, test_bound=bad)
+    two = REGISTRY["at_most_two_points"]
+    with pytest.raises(BadParams):
+        construct_reflection(antichain(3), two, target_bound=2, test_bound=bad)
+    with pytest.raises(BadParams):
+        construct_reflection(antichain(3), two, target_bound=bad, test_bound=2)
+
+
+def _is_reflection_by_scan(eta, predicate, test_bound):
+    """The literal check: compose every extension g with eta for every f."""
+    x, y = eta.dom, eta.cod
+    if not predicate(y):
+        return ReflectionCheck(False, 0, test_bound,
+                               {"reason": "target is not in the class"})
+    verified = 0
+    for z in spaces_up_to(test_bound):
+        if not predicate(z):
+            continue
+        extensions = continuous_maps_list(y, z)
+        for f in continuous_maps_list(x, z):
+            matching = [g for g in extensions if compose(g, eta).table == f.table]
+            if len(matching) != 1:
+                return ReflectionCheck(
+                    False,
+                    verified,
+                    test_bound,
+                    {
+                        "test_object_up": [list(points_of(u)) for u in z.up],
+                        "map": list(f.table),
+                        "extension_count": len(matching),
+                    },
+                )
+            verified += 1
+    return ReflectionCheck(True, verified, test_bound)
+
+
+def test_is_reflection_matches_the_literal_scan():
+    spaces = list(spaces_up_to(3))
+    units = [eta for x in spaces for y in spaces for eta in continuous_maps_list(x, y)]
+    counts = {"holds": 0, "none": 0, "several": 0}
+    for predicate in REGISTRY.values():
+        for eta in units:
+            got = is_reflection(eta, predicate, test_bound=3)
+            assert got == _is_reflection_by_scan(eta, predicate, 3), (predicate.name, eta)
+            count = (got.witness or {}).get("extension_count")
+            if got.holds:
+                counts["holds"] += 1
+            elif count == 0:
+                counts["none"] += 1
+            elif count is not None and count >= 2:
+                counts["several"] += 1
+    assert all(counts.values()), counts
 
 
 def test_reflection_not_found_reports_bounds():

@@ -8,6 +8,7 @@ clause by clause from the cover members it names."""
 import pytest
 
 from t0kit.errors import BadParams, EmptyOpen
+from t0kit.symbolic import johnstone
 from t0kit.symbolic.cofinite import cofinite_excluding
 from t0kit.symbolic.johnstone import (
     EMPTY_OPEN,
@@ -253,6 +254,20 @@ def test_claims_bundle():
     assert claims[2].bound >= 9
     assert "open_question" in claims[2].details
     assert claims[3].witness["homeomorphism"].startswith("column index")
+
+
+def test_owf_claim_checks_way_below_at_its_own_bound(monkeypatch):
+    seen = []
+    real = johnstone.check_way_below
+
+    def spy(u, v, bound=30):
+        seen.append(bound)
+        return real(u, v, bound)
+
+    monkeypatch.setattr(johnstone, "check_way_below", spy)
+    verdict = check_claim_owf(5)
+    assert verdict.label == "HoldsUpTo(5)"
+    assert seen == [5] * len(default_sample_opens())
 
 
 @pytest.mark.parametrize("bound", [0, -3])

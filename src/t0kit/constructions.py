@@ -268,7 +268,8 @@ def canonical_embedding(space: FiniteSpace) -> CanonicalEmbedding:
 
 
 def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
-    if f.dom != g.dom or f.cod != g.cod:
+    # identity first: a FiniteSpace == compares whole tuples
+    if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise MismatchedSpaces("equalizer needs a parallel pair")
     m = 0
     for x in range(f.dom.n):

@@ -262,21 +262,18 @@ def is_directed(space: FiniteSpace, d: PointSet) -> bool:
 def irreducible_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
     """Nonempty closed sets not covered by two closed proper subsets.
 
-    F is irreducible iff F <= C1 | C2 forces F <= C1 or F <= C2 for all
-    closed C1, C2; equivalently no pair of closed proper subsets of F
-    unions up to F.
+    Order lemma (Goubault-Larrecq, Non-Hausdorff Topology and Domain
+    Theory, ch. 8): a nonempty closed set F of a finite poset is
+    irreducible iff it has exactly one maximal point.  With one maximal
+    point x, F is the closure of x, and any closed cover of F has a
+    member holding x, hence all of F.  With maximal points x != y, the
+    closure of x and the closure of the other maximal points are two
+    proper closed subsets covering F.  The empty set has no maximal point.
     """
-    closed = all_closed_sets(space)
     out = []
-    for f in closed:
-        if f == 0:
-            continue
-        proper = [c & f for c in closed if c & f != f]
-        proper = sorted(set(proper))
-        reducible = any(
-            c1 | c2 == f for i, c1 in enumerate(proper) for c2 in proper[i:]
-        )
-        if not reducible:
+    for f in all_closed_sets(space):
+        maximal = [x for x in iter_bits(f) if space.up[x] & f == 1 << x]
+        if len(maximal) == 1:
             out.append(f)
     return tuple(out)
 

@@ -4,19 +4,26 @@ CHECKERS maps each canonical name to its checker.  The CLI reads it under
 four short aliases (cosober, strongd, kbsober, owf); the reflection
 registry reads it under the canonical names.
 
-Each checker quantifies literally over the finite data (closed sets,
+Each checker decides its property over the finite data (closed sets,
 saturated sets, directed subsets, open families) and returns a
 PropertyReport carrying the verdict, the method used, a witness on
 failure, and the size bounds in force.  For finite T0 spaces all five
 sobriety-like properties turn out to hold; the checkers still do the
-quantifier work so that the collapse is an output, not an axiom.
-Co-sobriety reuses the sober reducibility scan on the order dual.
+work so that the collapse is an output, not an axiom.
 
-The one non-literal path is the structural tier of the open-well-filtered
-checker, used when 2^|opens| subfamilies are out of reach; its one lemma
-(a finite family filtered for the way-below order contains its
-inclusion-least member) is verified exhaustively against the literal
-tier in the test suite.
+Where a quantifier has an exact order-theoretic reduction, the checker
+uses it, and the test suite keeps the literal scan as an oracle:
+- irreducible closed sets are the closed sets with exactly one maximal
+  point (finite_space.irreducible_closed_sets); co-sobriety reuses that
+  reducibility test on the order dual;
+- strong d tests only the least open over each intersection, and a
+  directed set with a maximum passes for every point at once;
+- the structural tier of the open-well-filtered checker, used when
+  2^|opens| subfamilies are out of reach, rests on two lemmas (way-below
+  on finite opens is inclusion; a finite filtered family contains its
+  least member) and scans nothing.
+The literal tier of the open-well-filtered checker still quantifies over
+every subfamily, because its family counts are part of its report.
 """
 
 from __future__ import annotations
@@ -108,8 +115,15 @@ def is_co_sober(space: FiniteSpace) -> PropertyReport:
 
 def is_strong_d(space: FiniteSpace) -> PropertyReport:
     """For every directed D, point x, and open U: if the intersection of
-    all up[d] with up[x] lands in U, some single d already does."""
-    opens = all_opens(space)
+    all up[d] with up[x] lands in U, some single d already does.
+
+    The open U needs no scan.  target = (intersection of up[D]) & up[x]
+    is an up-set, so it is the least open U containing it, and each
+    up[d] & up[x] contains target; (D, x) therefore holds iff some d in D
+    has up[d] & up[x] == target.  When some d has up[d] equal to the
+    intersection of up[D] (a maximum of D, which every finite directed
+    set has), D holds for every x at once.  Otherwise each x is tested,
+    and a failing witness names target as its open."""
     full = space.full
     bad = None
     directed_count = 0
@@ -117,26 +131,21 @@ def is_strong_d(space: FiniteSpace) -> PropertyReport:
         if not is_directed(space, d_mask):
             continue
         directed_count += 1
+        ups = [space.up[d] for d in iter_bits(d_mask)]
         inter = full
-        for d in iter_bits(d_mask):
-            inter &= space.up[d]
+        for u in ups:
+            inter &= u
+        if inter in ups:
+            continue
         for x in range(space.n):
             target = inter & space.up[x]
-            for u in opens:
-                if not is_subset(target, u):
-                    continue
-                if not any(
-                    is_subset(space.up[d] & space.up[x], u)
-                    for d in iter_bits(d_mask)
-                ):
-                    bad = {
-                        "directed": _pts(d_mask),
-                        "point": x,
-                        "open": _pts(u),
-                        "intersection": _pts(target),
-                    }
-                    break
-            if bad:
+            if not any(u & space.up[x] == target for u in ups):
+                bad = {
+                    "directed": _pts(d_mask),
+                    "point": x,
+                    "open": _pts(target),
+                    "intersection": _pts(target),
+                }
                 break
         if bad:
             break
@@ -301,36 +310,26 @@ def _owf_literal(space: FiniteSpace) -> PropertyReport:
 
 
 def _owf_structural(space: FiniteSpace) -> PropertyReport:
-    """Sound tier for spaces with too many opens to enumerate families.
+    """Tier for spaces with too many opens to enumerate families.  It
+    scans nothing; two lemmas (Gierz et al., Continuous Lattices and
+    Domains, O-2; Goubault-Larrecq, Non-Hausdorff Topology and Domain
+    Theory, ch. 8) settle the property:
 
-    Step 1 computes way-below on all open pairs (reduced quantifier) and
-    records that it coincides with inclusion.  Step 2 applies the
-    least-member lemma: a finite way-below-filtered family is downward
-    directed for inclusion, hence contains its least member L = the
-    intersection of the family; any open U absorbing the intersection
-    then absorbs the member L.  The lemma itself is exhaustively
-    validated against the literal tier in the test suite."""
-    opens = all_opens(space)
-    m = len(opens)
-    coincides = all(
-        _way_below_in(opens, u, v) == is_subset(u, v) for u in opens for v in opens
-    )
-    if not coincides:
-        # unreachable for finite spaces; kept so the tier never over-claims
-        return PropertyReport(
-            name="open_well_filtered",
-            holds=False,
-            method="structural-least-member",
-            witness={"reason": "way-below differs from inclusion"},
-            details={"opens_count": m},
-        )
+    1. A finite open is compact, so way-below on the opens is inclusion
+       (_way_below_in computes exactly that).
+    2. A finite family filtered for inclusion contains its least member
+       L, the intersection of the family; any open U absorbing the
+       intersection therefore absorbs the member L.
+
+    Both are validated exhaustively against the literal tier in the test
+    suite."""
     return PropertyReport(
         name="open_well_filtered",
         holds=True,
         method="structural-least-member",
         witness=None,
         details={
-            "opens_count": m,
+            "opens_count": len(all_opens(space)),
             "way_below_is_inclusion": True,
             "note": "filtered families contain their least member",
         },

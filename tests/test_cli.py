@@ -197,3 +197,31 @@ def test_export_requires_dot_flag(capsys, sigma2_file):
 def test_construct_points_validation(capsys, chain3_file):
     assert main(["construct", "bclosure", chain3_file, "--points", "p,zz"]) == 2
     assert main(["construct", "bclosure", chain3_file, "--points", ""]) == 64
+
+
+SHAPES_16 = {  # name: (cover pairs, opens count)
+    "chain": ([(i, i + 1) for i in range(15)], 17),
+    "antichain": ([], 65536),
+    "top_cone": ([(i, 15) for i in range(15)], 32769),
+    "bottom_cone": ([(0, i) for i in range(1, 16)], 32769),
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES_16))
+def test_check_finishes_on_worst_shapes_at_the_carrier_cap(capsys, tmp_path, shape):
+    pairs, opens = SHAPES_16[shape]
+    f = tmp_path / f"{shape}.space"
+    f.write_text("space W\npoints " + " ".join(f"p{x}" for x in range(16)) + "\n"
+                 + "".join(f"le p{x} p{y}\n" for x, y in pairs))
+    code, tree = run_json(capsys, ["check", str(f), "--property", "all"])
+    assert code == (0 if shape == "antichain" else 1)  # t1 fails unless discrete
+    props = tree["properties"]
+    assert all(props[p]["holds"] for p in ["sober", "cosober", "strongd", "kbsober", "owf"])
+    space = parse_space(f.read_text()).space
+    directed = sum(1 << (space.down[x].bit_count() - 1) for x in range(16))
+    assert directed == {"chain": 65535, "antichain": 16,
+                        "top_cone": 32783, "bottom_cone": 31}[shape]
+    assert props["strongd"]["details"]["directed_sets"] == directed
+    assert props["sober"]["details"]["irreducible_closed_count"] == 16
+    assert props["kbsober"]["details"]["irreducible_closed_count"] == 16
+    assert props["owf"]["details"]["opens_count"] == opens

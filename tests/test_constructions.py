@@ -202,6 +202,18 @@ def test_equalizer_mask():
         equalizer(f, space_map(c3, c3, (0, 1, 2)))
 
 
+def test_equalizer_compares_spaces_by_value():
+    # equal but distinct domain and codomain objects still make a parallel pair
+    f = space_map(chain(3), sigma2(), (0, 0, 1))
+    g = space_map(chain(3), sigma2(), (0, 1, 1))
+    assert f.dom is not g.dom and f.dom == g.dom
+    assert f.cod is not g.cod and f.cod == g.cod
+    assert equalizer(f, g) == 0b101
+    assert equalizer(g, f) == 0b101
+    with pytest.raises(MismatchedSpaces):
+        equalizer(f, space_map(antichain(3), sigma2(), (0, 0, 1)))
+
+
 @pytest.mark.parametrize("sp", [sigma2(), chain(3), v_poset(), antichain(3)],
                          ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
 def test_equalizer_presentation_roundtrip(sp):

@@ -4,18 +4,26 @@ The five checkers are exercised on handcrafted spaces, then swept over
 every space with up to 4 points (the 5-point sweep is the acceptance
 suite's job).  The way-below reduction and the structural OWF tier are
 both validated against their literal quantifier counterparts here; the
-literal way-below table (_way_below_literal) is built once per space."""
+literal way-below table (_way_below_literal) is built once per space.
+The reduced reducibility and strong-d checkers are compared, report for
+report, with the literal scans they replaced."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from t0kit import caps
+from t0kit import caps, properties
 from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import NotOpen
 from t0kit.finite_space import (
+    all_closed_sets,
     all_opens,
     antichain,
     chain,
     from_cover,
+    from_order,
+    irreducible_closed_sets,
+    is_directed,
     is_subset,
     iter_bits,
     lambda_poset,
@@ -27,6 +35,7 @@ from t0kit.properties import (
     PropertyReport,
     _owf_literal,
     _owf_structural,
+    _pts,
     _way_below_literal,
     is_co_sober,
     is_k_bounded_sober,
@@ -166,3 +175,138 @@ def test_owf_literal_family_counts_sierpinski():
     assert rep.details["directed_families"] == 7
     assert rep.details["filtered_families"] == 7
     assert rep.holds
+
+
+# Literal oracles for the reduced checkers.  These are the quantifier
+# scans the reduced code replaced, kept verbatim: the pairwise
+# reducibility scan over proper closed subsets, and the strong-d loop
+# over every open U.
+
+
+def literal_irreducible_closed_sets(space):
+    closed = all_closed_sets(space)
+    out = []
+    for f in closed:
+        if f == 0:
+            continue
+        proper = [c & f for c in closed if c & f != f]
+        proper = sorted(set(proper))
+        reducible = any(
+            c1 | c2 == f for i, c1 in enumerate(proper) for c2 in proper[i:]
+        )
+        if not reducible:
+            out.append(f)
+    return tuple(out)
+
+
+def literal_strong_d(space):
+    opens = all_opens(space)
+    full = space.full
+    bad = None
+    directed_count = 0
+    for d_mask in range(1, full + 1):
+        if not is_directed(space, d_mask):
+            continue
+        directed_count += 1
+        inter = full
+        for d in iter_bits(d_mask):
+            inter &= space.up[d]
+        for x in range(space.n):
+            target = inter & space.up[x]
+            for u in opens:
+                if not is_subset(target, u):
+                    continue
+                if not any(
+                    is_subset(space.up[d] & space.up[x], u)
+                    for d in iter_bits(d_mask)
+                ):
+                    bad = {
+                        "directed": _pts(d_mask),
+                        "point": x,
+                        "open": _pts(u),
+                        "intersection": _pts(target),
+                    }
+                    break
+            if bad:
+                break
+        if bad:
+            break
+    return PropertyReport(
+        name="strong_d",
+        holds=bad is None,
+        method="exhaustive",
+        witness=bad,
+        details={"directed_sets": directed_count},
+    )
+
+
+def assert_reduced_matches_literal(sp):
+    """Reports compare holds, method, witness and details at once."""
+    assert irreducible_closed_sets(sp) == literal_irreducible_closed_sets(sp)
+    reducibility = (is_sober, is_co_sober, is_k_bounded_sober)
+    reduced = [check(sp) for check in reducibility]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(properties, "irreducible_closed_sets", literal_irreducible_closed_sets)
+        assert reduced == [check(sp) for check in reducibility]
+    assert is_strong_d(sp) == literal_strong_d(sp)
+
+
+def test_reduced_checkers_match_literal_scans_up_to_5_points():
+    for sp in spaces_up_to(5):
+        assert_reduced_matches_literal(sp)
+
+
+@st.composite
+def random_posets(draw):
+    """A random relation on a shuffled line of at most 8 points, closed
+    transitively."""
+    n = draw(st.integers(1, 8))
+    line = draw(st.permutations(range(n)))
+    related = iter(draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                                 max_size=n * (n - 1) // 2)))
+    up = [1 << x for x in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if next(related):
+                up[line[i]] |= up[line[j]]
+    return from_order(n, [(x, y) for x in range(n) for y in iter_bits(up[x]) if x != y])
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_posets())
+def test_reduced_checkers_match_literal_scans_on_random_posets(sp):
+    assert_reduced_matches_literal(sp)
+
+
+def top_cone(k):
+    return from_order(k, [(i, k - 1) for i in range(k - 1)])
+
+
+def counting(mp, name):
+    """Replace properties.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(properties, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    mp.setattr(properties, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("sp,directed", [(chain(8), 255), (top_cone(8), 135)],
+                         ids=["chain8", "top_cone8"])
+def test_strong_d_scans_no_opens(monkeypatch, sp, directed):
+    subset_calls = counting(monkeypatch, "is_subset")
+    opens_calls = counting(monkeypatch, "all_opens")
+    rep = is_strong_d(sp)
+    assert rep.holds and rep.details == {"directed_sets": directed}
+    assert (len(subset_calls), len(opens_calls)) == (0, 0)
+
+
+def test_owf_structural_tier_scans_no_way_below_pairs(monkeypatch):
+    way_below_calls = counting(monkeypatch, "_way_below_in")
+    rep = _owf_structural(antichain(6))
+    assert rep.holds and rep.details["opens_count"] == 64
+    assert way_below_calls == []

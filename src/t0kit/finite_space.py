@@ -60,10 +60,12 @@ class FiniteSpace:
         return (self.up[x] >> y) & 1 == 1
 
     def is_open(self, a: PointSet) -> bool:
-        return all(is_subset(self.up[x], a) for x in iter_bits(a))
+        """An up-set inside the carrier; a mask with other bits is neither
+        open nor closed."""
+        return not a & ~self.full and all(is_subset(self.up[x], a) for x in iter_bits(a))
 
     def is_closed(self, a: PointSet) -> bool:
-        return self.is_open(self.full & ~a)
+        return not a & ~self.full and self.is_open(self.full & ~a)
 
     def complement(self, a: PointSet) -> PointSet:
         return self.full & ~a

@@ -18,12 +18,13 @@ uses it, and the test suite keeps the literal scan as an oracle:
   reducibility test on the order dual;
 - strong d tests only the least open over each intersection, and a
   directed set with a maximum passes for every point at once;
-- the structural tier of the open-well-filtered checker, used when
-  2^|opens| subfamilies are out of reach, rests on two lemmas (way-below
-  on finite opens is inclusion; a finite filtered family contains its
-  least member) and scans nothing.
-The literal tier of the open-well-filtered checker still quantifies over
-every subfamily, because its family counts are part of its report.
+- the open-well-filtered checker rests on two lemmas (way-below on
+  finite opens is inclusion; a finite filtered family contains its least
+  member) and scans no family.  Up to owf_opens opens its report also
+  counts the directed and the filtered subfamilies, in closed form: a
+  finite family is directed iff it has a greatest member and filtered
+  iff it has a least one, so each count is a sum over members K of
+  2^(#opens strictly inside, resp. containing, K).
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def way_below_opens(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
     of V has a member above U.
 
     A finite directed family has a greatest member, which covers V by
-    itself, so only single-open covers T >= V need checking; the literal
-    all-families quantifier is _way_below_literal (the whole table in one
-    pass), and the two are asserted equal in tests."""
+    itself, so only single-open covers T >= V need checking.  The test
+    suite keeps the literal all-families quantifier as an oracle and
+    asserts the two equal."""
     if not space.is_open(u) or not space.is_open(v):
         raise NotOpen("way_below_opens needs two open sets")
     return _way_below_in(all_opens(space), u, v)
@@ -207,113 +208,45 @@ def _way_below_in(opens: tuple[PointSet, ...], u: PointSet, v: PointSet) -> bool
     return all(is_subset(u, t) for t in opens if is_subset(v, t))
 
 
-def _way_below_literal(space: FiniteSpace) -> tuple[list[int], int]:
-    """Reference way-below quantifier over all 2^|opens| nonempty
-    subfamilies, for every pair of opens in one pass.
+def _owf_counted(space: FiniteSpace) -> PropertyReport:
+    """Tier that also reports how many subfamilies of opens are directed
+    and how many are filtered for way-below.  It counts them from two
+    lemmas instead of enumerating them:
 
-    Returns below, where below[j] is the mask of the i with opens[i]
-    way-below opens[j] (indices into all_opens(space)), and the number
-    of directed subfamilies scanned."""
+    - a finite family is directed for inclusion iff it has a greatest
+      member K, so there are sum over K of 2^(#opens strictly inside K);
+    - way-below on finite opens is inclusion (lemma 1 of _owf_structural),
+      so the filtered families are those with a least member K, and
+      there are sum over K of 2^(#opens strictly containing K).
+
+    The verdict is lemma 2 of _owf_structural.  The literal family scans
+    stay in the test suite as this tier's oracle."""
     opens = all_opens(space)
-    m = len(opens)
-    caps.guard(m, caps.cap("owf_opens"), "opens count for literal way-below")
-    super_of = []  # super_of[i] = mask of j with opens[j] >= opens[i]
-    for i in range(m):
-        sup_row = 0
-        for j in range(m):
-            if is_subset(opens[i], opens[j]):
-                sup_row |= 1 << j
-        super_of.append(sup_row)
-    bound_in = [
-        [super_of[i] & super_of[j] for j in range(m)] for i in range(m)
-    ]  # family members dominating opens[i] | opens[j]
-
-    # Find the upward-directed subfamilies (the candidate covers).
-    # not_wb[i] accumulates every j refuted by a directed cover of
-    # opens[j] containing no member above opens[i].
-    not_wb = [0] * m
-    directed_families = 0
-    for fam in range(1, 1 << m):
-        idxs = list(iter_bits(fam))
-        if not all(
-            bound_in[i][j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
-        ):
-            continue
-        directed_families += 1
-        union = 0
-        for i in idxs:
-            union |= opens[i]
-        covered = 0  # mask of j with opens[j] <= union
-        for j in range(m):
-            if is_subset(opens[j], union):
-                covered |= 1 << j
-        for i in range(m):
-            if not (fam & super_of[i]):
-                not_wb[i] |= covered
-    wb = [~not_wb[i] & ((1 << m) - 1) for i in range(m)]
-    below = [0] * m
-    for i in range(m):
-        for j in iter_bits(wb[i]):
-            below[j] |= 1 << i
-    return below, directed_families
-
-
-def _owf_literal(space: FiniteSpace) -> PropertyReport:
-    """Quantify over every nonempty subfamily of opens: if it is filtered
-    for way-below and its intersection lies in an open U, some member
-    must lie in U.
-
-    The literal way-below table comes from _way_below_literal, so the
-    whole check is two 2^|opens| passes rather than one per pair."""
-    below, directed_families = _way_below_literal(space)
-    opens = all_opens(space)
-    m = len(opens)
-    sub_of = [  # sub_of[k] = mask of i with opens[i] <= opens[k]
-        sum(1 << i for i in range(m) if is_subset(opens[i], opens[k])) for k in range(m)
-    ]
-
-    # The way-below-filtered subfamilies (downward: every pair dominates
-    # a common member) feed the actual well-filteredness condition.
-    bad = None
-    filtered_count = 0
-    for fam in range(1, 1 << m):
-        idxs = list(iter_bits(fam))
-        if not all(
-            below[i] & below[j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
-        ):
-            continue
-        filtered_count += 1
-        inter = space.full
-        for i in idxs:
-            inter &= opens[i]
-        for k in range(m):
-            if is_subset(inter, opens[k]) and not (fam & sub_of[k]):
-                bad = {
-                    "family": [_pts(opens[i]) for i in idxs],
-                    "open": _pts(opens[k]),
-                    "intersection": _pts(inter),
-                }
-                break
-        if bad:
-            break
+    inside = [0] * len(opens)  # inside[k]: opens strictly inside opens[k]
+    outside = [0] * len(opens)  # outside[k]: opens strictly containing opens[k]
+    for i, u in enumerate(opens):
+        for k, v in enumerate(opens):
+            if i != k and is_subset(u, v):
+                inside[k] += 1
+                outside[i] += 1
     return PropertyReport(
         name="open_well_filtered",
-        holds=bad is None,
+        holds=True,
         method="exhaustive",
-        witness=bad,
+        witness=None,
         details={
-            "opens_count": m,
-            "directed_families": directed_families,
-            "filtered_families": filtered_count,
+            "opens_count": len(opens),
+            "directed_families": sum(1 << c for c in inside),
+            "filtered_families": sum(1 << c for c in outside),
         },
     )
 
 
 def _owf_structural(space: FiniteSpace) -> PropertyReport:
-    """Tier for spaces with too many opens to enumerate families.  It
-    scans nothing; two lemmas (Gierz et al., Continuous Lattices and
-    Domains, O-2; Goubault-Larrecq, Non-Hausdorff Topology and Domain
-    Theory, ch. 8) settle the property:
+    """Tier for spaces with more than owf_opens opens, whose report
+    carries no family counts.  It scans nothing; two lemmas (Gierz et
+    al., Continuous Lattices and Domains, O-2; Goubault-Larrecq,
+    Non-Hausdorff Topology and Domain Theory, ch. 8) settle the property:
 
     1. A finite open is compact, so way-below on the opens is inclusion
        (_way_below_in computes exactly that).
@@ -321,8 +254,8 @@ def _owf_structural(space: FiniteSpace) -> PropertyReport:
        L, the intersection of the family; any open U absorbing the
        intersection therefore absorbs the member L.
 
-    Both are validated exhaustively against the literal tier in the test
-    suite."""
+    Both are validated exhaustively against the literal oracles in the
+    test suite."""
     return PropertyReport(
         name="open_well_filtered",
         holds=True,
@@ -339,7 +272,7 @@ def _owf_structural(space: FiniteSpace) -> PropertyReport:
 def is_open_well_filtered(space: FiniteSpace) -> PropertyReport:
     opens_count = len(all_opens(space))
     if opens_count <= caps.cap("owf_opens"):
-        return _owf_literal(space)
+        return _owf_counted(space)
     return _owf_structural(space)
 
 

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from t0kit import reflection_lab
+from t0kit import caps, reflection_lab
 from t0kit.b_topology import b_space, chain_pair_is_b_closed_sigma2, is_b_closed
 from t0kit.cli import _corpus_rows
 from t0kit.constructions import (
@@ -42,7 +42,7 @@ from t0kit.reflection_lab import (
     sobrify_irr,
 )
 
-POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}  # distinct spaces per size
+POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}  # OEIS A000112
 
 
 def _line(capsys, num: int, ok: bool, desc: str) -> None:
@@ -56,7 +56,9 @@ def test_criterion_1_finite_collapse(capsys):
     counts = {n: 0 for n in POSET_COUNTS}
     failures = []
     total = 0
-    for sp in spaces_up_to(5):
+    with caps.scoped(enum=7):
+        spaces = list(spaces_up_to(7))
+    for sp in spaces:
         counts[sp.n] += 1
         total += 1
         reports = [
@@ -72,7 +74,7 @@ def test_criterion_1_finite_collapse(capsys):
     ok = counts == POSET_COUNTS and not failures and secs < 60
     _line(capsys, 1, ok,
           f"five properties Hold and the b-space is discrete on all {total} "
-          f"spaces with <= 5 points, counts {counts} as frozen ({secs:.1f}s, "
+          f"spaces with <= 7 points, counts {counts} as frozen ({secs:.1f}s, "
           f"budget 60s)")
 
 

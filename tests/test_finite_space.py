@@ -15,6 +15,7 @@ from t0kit.errors import (
     EmptyCarrier,
     NotAPartialOrder,
     NotATopology,
+    NotOpen,
     NotT0,
 )
 from t0kit.finite_space import (
@@ -43,6 +44,7 @@ from t0kit.finite_space import (
     sigma2,
     v_poset,
 )
+from t0kit.properties import way_below_opens
 
 GALLERY = [
     point(),
@@ -113,6 +115,14 @@ def test_sierpinski_shape():
     assert all_opens(sp) == (0, 0b10, 0b11)
     assert sp.is_open(0b10) and not sp.is_open(0b01)
     assert sp.is_closed(0b01)
+
+
+def test_masks_outside_the_carrier_are_neither_open_nor_closed():
+    sp = sigma2()
+    for mask in (0b100, 0b111, -1):
+        assert not sp.is_open(mask) and not sp.is_closed(mask)
+    with pytest.raises(NotOpen):
+        way_below_opens(sp, 0b100, 0b11)
 
 
 def test_opens_counts_frozen():

@@ -1,12 +1,14 @@
 """Property-checker tests.
 
 The five checkers are exercised on handcrafted spaces, then swept over
-every space with up to 4 points (the 5-point sweep is the acceptance
-suite's job).  The way-below reduction and the structural OWF tier are
-both validated against their literal quantifier counterparts here; the
-literal way-below table (_way_below_literal) is built once per space.
-The reduced reducibility and strong-d checkers are compared, report for
-report, with the literal scans they replaced."""
+every space with up to 4 points (the 7-point sweep is the acceptance
+suite's job).  Every reduced checker is compared with the literal scan
+it replaced, kept here verbatim as an oracle: the reducibility scan,
+the strong-d loop over every open, and the two 2^|opens| family passes
+of open well-filteredness (literal_way_below builds the whole way-below
+table in one pass; literal_owf counts and checks the filtered families).
+Reports are compared whole, so OWF's closed-form family counts must
+equal the literal ones on every space with at most 12 opens."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,10 +35,8 @@ from t0kit.finite_space import (
 from t0kit.properties import (
     CHECKERS,
     PropertyReport,
-    _owf_literal,
     _owf_structural,
     _pts,
-    _way_below_literal,
     is_co_sober,
     is_k_bounded_sober,
     is_open_well_filtered,
@@ -97,7 +97,7 @@ def test_way_below_reduction_matches_literal():
         opens = all_opens(sp)
         if len(opens) > caps.cap("owf_opens"):
             continue  # literal quantifier guarded beyond the cap
-        below, _ = _way_below_literal(sp)
+        below, _ = literal_way_below(sp)
         for i, u in enumerate(opens):
             for j, v in enumerate(opens):
                 assert way_below_opens(sp, u, v) == bool(below[j] >> i & 1)
@@ -107,7 +107,7 @@ def test_owf_tiers_agree_where_both_run():
     for sp in spaces_up_to(4):
         if len(all_opens(sp)) > caps.cap("owf_opens"):
             continue
-        lit = _owf_literal(sp)
+        lit = literal_owf(sp)
         struct = _owf_structural(sp)
         assert lit.holds == struct.holds
 
@@ -125,7 +125,7 @@ def test_filtered_families_contain_their_least_member():
     for sp in spaces_up_to(3):
         opens = all_opens(sp)
         m = len(opens)
-        below, _ = _way_below_literal(sp)
+        below, _ = literal_way_below(sp)
         index = {w: i for i, w in enumerate(opens)}
 
         def way_below(u, v):
@@ -170,17 +170,19 @@ def test_all_properties_hold_on_all_small_spaces(n):
 
 
 def test_owf_literal_family_counts_sierpinski():
-    rep = _owf_literal(sigma2())
+    rep = is_open_well_filtered(sigma2())
     # opens {}, {1}, {0,1}: directed subfamilies of a chain are all 7
     assert rep.details["directed_families"] == 7
     assert rep.details["filtered_families"] == 7
     assert rep.holds
+    assert rep == literal_owf(sigma2())
 
 
 # Literal oracles for the reduced checkers.  These are the quantifier
 # scans the reduced code replaced, kept verbatim: the pairwise
-# reducibility scan over proper closed subsets, and the strong-d loop
-# over every open U.
+# reducibility scan over proper closed subsets, the strong-d loop over
+# every open U, and the two 2^|opens| family passes of open
+# well-filteredness (guarded by the owf_opens cap).
 
 
 def literal_irreducible_closed_sets(space):
@@ -240,6 +242,108 @@ def literal_strong_d(space):
     )
 
 
+def literal_way_below(space):
+    """Reference way-below quantifier over all 2^|opens| nonempty
+    subfamilies, for every pair of opens in one pass.
+
+    Returns below, where below[j] is the mask of the i with opens[i]
+    way-below opens[j] (indices into all_opens(space)), and the number
+    of directed subfamilies scanned."""
+    opens = all_opens(space)
+    m = len(opens)
+    caps.guard(m, caps.cap("owf_opens"), "opens count for literal way-below")
+    super_of = []  # super_of[i] = mask of j with opens[j] >= opens[i]
+    for i in range(m):
+        sup_row = 0
+        for j in range(m):
+            if is_subset(opens[i], opens[j]):
+                sup_row |= 1 << j
+        super_of.append(sup_row)
+    bound_in = [
+        [super_of[i] & super_of[j] for j in range(m)] for i in range(m)
+    ]  # family members dominating opens[i] | opens[j]
+
+    # Find the upward-directed subfamilies (the candidate covers).
+    # not_wb[i] accumulates every j refuted by a directed cover of
+    # opens[j] containing no member above opens[i].
+    not_wb = [0] * m
+    directed_families = 0
+    for fam in range(1, 1 << m):
+        idxs = list(iter_bits(fam))
+        if not all(
+            bound_in[i][j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
+        ):
+            continue
+        directed_families += 1
+        union = 0
+        for i in idxs:
+            union |= opens[i]
+        covered = 0  # mask of j with opens[j] <= union
+        for j in range(m):
+            if is_subset(opens[j], union):
+                covered |= 1 << j
+        for i in range(m):
+            if not (fam & super_of[i]):
+                not_wb[i] |= covered
+    wb = [~not_wb[i] & ((1 << m) - 1) for i in range(m)]
+    below = [0] * m
+    for i in range(m):
+        for j in iter_bits(wb[i]):
+            below[j] |= 1 << i
+    return below, directed_families
+
+
+def literal_owf(space):
+    """Quantify over every nonempty subfamily of opens: if it is filtered
+    for way-below and its intersection lies in an open U, some member
+    must lie in U.
+
+    The literal way-below table comes from literal_way_below, so the
+    whole check is two 2^|opens| passes rather than one per pair."""
+    below, directed_families = literal_way_below(space)
+    opens = all_opens(space)
+    m = len(opens)
+    sub_of = [  # sub_of[k] = mask of i with opens[i] <= opens[k]
+        sum(1 << i for i in range(m) if is_subset(opens[i], opens[k])) for k in range(m)
+    ]
+
+    # The way-below-filtered subfamilies (downward: every pair dominates
+    # a common member) feed the actual well-filteredness condition.
+    bad = None
+    filtered_count = 0
+    for fam in range(1, 1 << m):
+        idxs = list(iter_bits(fam))
+        if not all(
+            below[i] & below[j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
+        ):
+            continue
+        filtered_count += 1
+        inter = space.full
+        for i in idxs:
+            inter &= opens[i]
+        for k in range(m):
+            if is_subset(inter, opens[k]) and not (fam & sub_of[k]):
+                bad = {
+                    "family": [_pts(opens[i]) for i in idxs],
+                    "open": _pts(opens[k]),
+                    "intersection": _pts(inter),
+                }
+                break
+        if bad:
+            break
+    return PropertyReport(
+        name="open_well_filtered",
+        holds=bad is None,
+        method="exhaustive",
+        witness=bad,
+        details={
+            "opens_count": m,
+            "directed_families": directed_families,
+            "filtered_families": filtered_count,
+        },
+    )
+
+
 def assert_reduced_matches_literal(sp):
     """Reports compare holds, method, witness and details at once."""
     assert irreducible_closed_sets(sp) == literal_irreducible_closed_sets(sp)
@@ -249,6 +353,8 @@ def assert_reduced_matches_literal(sp):
         mp.setattr(properties, "irreducible_closed_sets", literal_irreducible_closed_sets)
         assert reduced == [check(sp) for check in reducibility]
     assert is_strong_d(sp) == literal_strong_d(sp)
+    if len(all_opens(sp)) <= caps.cap("owf_opens"):
+        assert is_open_well_filtered(sp) == literal_owf(sp)
 
 
 def test_reduced_checkers_match_literal_scans_up_to_5_points():
@@ -310,3 +416,17 @@ def test_owf_structural_tier_scans_no_way_below_pairs(monkeypatch):
     rep = _owf_structural(antichain(6))
     assert rep.holds and rep.details["opens_count"] == 64
     assert way_below_calls == []
+
+
+@pytest.mark.parametrize("sp,counts", [(chain(11), (12, 4095, 4095)),
+                                       (antichain(3), (8, 159, 159))],
+                         ids=["chain11", "antichain3"])
+def test_owf_family_counts_cost_no_family_scan(monkeypatch, sp, counts):
+    # chain(11) has 12 opens, at the owf_opens cap; the counts are the
+    # literal tier's, and one is_subset per ordered pair of opens suffices
+    subset_calls = counting(monkeypatch, "is_subset")
+    rep = is_open_well_filtered(sp)
+    keys = ("opens_count", "directed_families", "filtered_families")
+    assert rep.holds and rep.method == "exhaustive"
+    assert rep.details == dict(zip(keys, counts))
+    assert len(subset_calls) <= counts[0] ** 2

@@ -166,6 +166,12 @@ def test_sierpinski_power_bit_convention():
             assert pw.decode(idx) == code
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_sierpinski_power_equals_powerset_scott(m):
+    # two builders of one space: a product fold and a subset-sum sweep
+    assert sierpinski_power(m).space == powerset_scott(m)
+
+
 def test_powerset_scott_frozen():
     ps = powerset_scott(2)
     assert ps.n == 4

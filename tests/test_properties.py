@@ -4,9 +4,10 @@ The five checkers are exercised on handcrafted spaces, then swept over
 every space with up to 4 points (the 7-point sweep is the acceptance
 suite's job).  Every reduced checker is compared with the literal scan
 it replaced, kept here verbatim as an oracle: the reducibility scan,
-the strong-d loop over every open, and the two 2^|opens| family passes
-of open well-filteredness (literal_way_below builds the whole way-below
-table in one pass; literal_owf counts and checks the filtered families).
+the strong-d scan over every subset and every open, and the two
+2^|opens| family passes of open well-filteredness (literal_way_below
+builds the whole way-below table in one pass; literal_owf counts and
+checks the filtered families).
 Reports are compared whole, so OWF's closed-form family counts must
 equal the literal ones on every space with at most 12 opens."""
 
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from t0kit import caps, properties
 from t0kit.enumeration import all_spaces, spaces_up_to
-from t0kit.errors import NotOpen
+from t0kit.errors import NotAPartialOrder, NotOpen
 from t0kit.finite_space import (
+    FiniteSpace,
     all_closed_sets,
     all_opens,
     antichain,
@@ -180,9 +182,9 @@ def test_owf_literal_family_counts_sierpinski():
 
 # Literal oracles for the reduced checkers.  These are the quantifier
 # scans the reduced code replaced, kept verbatim: the pairwise
-# reducibility scan over proper closed subsets, the strong-d loop over
-# every open U, and the two 2^|opens| family passes of open
-# well-filteredness (guarded by the owf_opens cap).
+# reducibility scan over proper closed subsets, the strong-d scan over
+# every subset D and every open U, and the two 2^|opens| family passes
+# of open well-filteredness (guarded by the owf_opens cap).
 
 
 def literal_irreducible_closed_sets(space):
@@ -362,6 +364,14 @@ def test_reduced_checkers_match_literal_scans_up_to_5_points():
         assert_reduced_matches_literal(sp)
 
 
+def test_strong_d_matches_literal_scan_up_to_6_points():
+    with caps.scoped(enum=6):
+        spaces = list(spaces_up_to(6))
+    assert len(spaces) == 405
+    for sp in spaces:
+        assert is_strong_d(sp) == literal_strong_d(sp)
+
+
 @st.composite
 def random_posets(draw):
     """A random relation on a shuffled line of at most 8 points, closed
@@ -401,14 +411,28 @@ def counting(mp, name):
     return calls
 
 
-@pytest.mark.parametrize("sp,directed", [(chain(8), 255), (top_cone(8), 135)],
-                         ids=["chain8", "top_cone8"])
-def test_strong_d_scans_no_opens(monkeypatch, sp, directed):
+@pytest.mark.parametrize("shape,n,directed", [
+    (chain, 8, 255), (top_cone, 8, 135),
+    (chain, 16, 2**16 - 1), (top_cone, 16, 2**15 + 15),
+    (chain, 24, 2**24 - 1),
+], ids=["chain8", "top_cone8", "chain16", "top_cone16", "chain24"])
+def test_strong_d_scans_no_opens(monkeypatch, shape, n, directed):
+    # one is_directed call per principal ideal; the directed sets are
+    # counted, not scanned, so chain(24) costs 24 calls, not 2^24
     subset_calls = counting(monkeypatch, "is_subset")
     opens_calls = counting(monkeypatch, "all_opens")
-    rep = is_strong_d(sp)
+    directed_calls = counting(monkeypatch, "is_directed")
+    with caps.scoped(carrier=max(n, caps.cap("carrier"))):
+        rep = is_strong_d(shape(n))
     assert rep.holds and rep.details == {"directed_sets": directed}
-    assert (len(subset_calls), len(opens_calls)) == (0, 0)
+    assert (len(subset_calls), len(opens_calls), len(directed_calls)) == (0, 0, n)
+
+
+def test_strong_d_refuses_an_undirected_principal_ideal():
+    # up and down disagree: down[0] claims 1 <= 0, up[1] does not
+    broken = FiniteSpace(2, (0b01, 0b10), (0b11, 0b10))
+    with pytest.raises(NotAPartialOrder):
+        is_strong_d(broken)
 
 
 def test_owf_structural_tier_scans_no_way_below_pairs(monkeypatch):

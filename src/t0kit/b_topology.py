@@ -7,7 +7,8 @@ containing y contains up[y] & down[y] (take U any open with y in U, so
 up[y] <= U, and x with y <= x, so down[y] <= down[x]), and that witness
 set is itself basic (U = up[y], x = y).  Membership therefore reduces to
 one intersection test against the minimal basic neighborhood; nothing
-about the result is assumed in advance.
+about the result is assumed in advance.  The literal quantifier over
+every basic set is b_closure's oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -40,18 +41,6 @@ def b_closure(space: FiniteSpace, a: PointSet) -> PointSet:
         min_basic = space.up[y] & space.down[y]
         if min_basic & a:
             out |= 1 << y
-    return out
-
-
-def b_closure_literal(space: FiniteSpace, a: PointSet) -> PointSet:
-    """Reference implementation quantifying over every basic set;
-    materializes the base, so only usable under the opens cap."""
-    base = b_basic_opens(space)
-    out = 0
-    for y in range(space.n):
-        bit = 1 << y
-        if all(b & a for b in base if b & bit):
-            out |= bit
     return out
 
 

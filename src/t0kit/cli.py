@@ -60,6 +60,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
 
 
 def _first_space(path: str) -> SpaceDoc:

@@ -1,9 +1,9 @@
 """Maps, subspaces, products, Sierpinski powers, equalizers.
 
 Maps between finite spaces are continuous iff they are monotone for the
-specialization orders, and that is how they are checked at construction;
-the preimage-of-opens characterization is kept alongside as a cross-check
-(`is_preimage_continuous`).
+specialization orders, and that is how they are checked at construction.
+The preimage-of-opens characterization is is_monotone's oracle in
+tests/oracles.py, beside the oracles of product and sierpinski_power.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ def monotonicity_break(f: SpaceMap) -> tuple[int, int] | None:
 
 def is_monotone(f: SpaceMap) -> bool:
     return monotonicity_break(f) is None
-
-
-def is_preimage_continuous(f: SpaceMap) -> bool:
-    """Literal continuity: preimages of opens are open.  Materializes the
-    codomain topology; agreement with is_monotone is a tested invariant."""
-    return all(f.dom.is_open(preimage(f, u)) for u in all_opens(f.cod))
 
 
 def preimage(f: SpaceMap, b: PointSet) -> PointSet:

@@ -12,7 +12,8 @@ sobriety-like properties turn out to hold; the checkers still do the
 work so that the collapse is an output, not an axiom.
 
 Where a quantifier has an exact order-theoretic reduction, the checker
-uses it, and the test suite keeps the literal scan as an oracle:
+uses it; the literal scan it replaced is its oracle in tests/oracles.py,
+one table row per fast path:
 - irreducible closed sets are the closed sets with exactly one maximal
   point (finite_space.irreducible_closed_sets); co-sobriety reuses that
   reducibility test on the order dual;
@@ -208,9 +209,8 @@ def way_below_opens(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
     of V has a member above U.
 
     A finite directed family has a greatest member, which covers V by
-    itself, so only single-open covers T >= V need checking.  The test
-    suite keeps the literal all-families quantifier as an oracle and
-    asserts the two equal."""
+    itself, so only single-open covers T >= V need checking.  The literal
+    all-families quantifier is the oracle in tests/oracles.py."""
     if not space.is_open(u) or not space.is_open(v):
         raise NotOpen("way_below_opens needs two open sets")
     return _way_below_in(all_opens(space), u, v)
@@ -233,7 +233,7 @@ def _owf_counted(space: FiniteSpace) -> PropertyReport:
       there are sum over K of 2^(#opens strictly containing K).
 
     The verdict is lemma 2 of _owf_structural.  The literal family scans
-    stay in the test suite as this tier's oracle."""
+    are this tier's oracle in tests/oracles.py."""
     opens = all_opens(space)
     inside = [0] * len(opens)  # inside[k]: opens strictly inside opens[k]
     outside = [0] * len(opens)  # outside[k]: opens strictly containing opens[k]
@@ -267,8 +267,7 @@ def _owf_structural(space: FiniteSpace) -> PropertyReport:
        L, the intersection of the family; any open U absorbing the
        intersection therefore absorbs the member L.
 
-    Both are validated exhaustively against the literal oracles in the
-    test suite."""
+    Both are validated against the literal oracles in tests/oracles.py."""
     return PropertyReport(
         name="open_well_filtered",
         holds=True,

@@ -200,6 +200,7 @@ def check_cosober_alexandrov(bound: int = 50) -> Verdict:
     if bound < 2:
         raise BadParams("need at least two points to exercise the order")
     space = AlexandrovNat()
+    finite = space.truncate(bound)  # the truncate cap, before the bound^2 loop
 
     split_checked = 0
     for a in range(0, bound):
@@ -214,7 +215,6 @@ def check_cosober_alexandrov(bound: int = 50) -> Verdict:
     if not sat_points:  # pragma: no cover - normal forms make this impossible
         raise AssertionError("normal form broke: up(n) lost its minimum")
 
-    finite = space.truncate(bound)
     finite_report = is_co_sober(finite)
     t1 = all(
         not space.leq(x, y) for x in range(bound) for y in range(bound) if x != y

@@ -208,6 +208,8 @@ def check_owf_refutation(
     returns Holds when a member lands inside u (no refutation); raises
     BadParams when the family fails its own side conditions.
     """
+    if bound < 1:
+        raise BadParams("the sample bound must be at least 1")
     claim = f"open well-filtered condition for {family.name}"
     sample = family.members(bound)
     indices = list(range(family.start, family.start + bound))

@@ -322,6 +322,8 @@ class JohnstoneSpace:
 def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[Point]:
     if columns < 1 or height < 1:
         raise BadParams("need at least one column and one height")
+    n = max(columns - skip_finite_upto, 0) * height + columns
+    caps.guard(n, caps.cap("truncate"), "truncation size")  # before the list
     pts: list[Point] = []
     for m in range(1, columns + 1):
         if m > skip_finite_upto:
@@ -331,15 +333,14 @@ def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[P
 
 
 def _space_from_points(pts: list[Point]) -> FiniteSpace:
-    n = len(pts)
-    caps.guard(n, caps.cap("truncate"), "truncation size")  # before the n^2 loop
+    """pts come from _grid_points, which applies the truncate cap."""
     pairs = [
         (i, k)
         for i, p in enumerate(pts)
         for k, q in enumerate(pts)
         if leq_points(p, q)
     ]
-    return caps.truncation(n, lambda n: from_order(n, pairs))
+    return caps.truncation(len(pts), lambda n: from_order(n, pairs))
 
 
 def truncate_grid(columns: int, height: int) -> FiniteSpace:

@@ -1,16 +1,16 @@
 """b-topology tests.
 
 The minimal-basic-neighborhood closure is cross-checked against the
-literal all-basic-sets quantifier on every subset of every gallery
-space.  That the b-topology of a finite T0 space is discrete is a
-derived regression fact here, never an assumption in the code."""
+literal all-basic-sets quantifier of tests/oracles.py on every subset.
+That the b-topology of a finite T0 space is discrete is a derived
+regression fact here, never an assumption in the code."""
 
 import pytest
+from oracles import BY_NAME, GALLERY, space_id, walk
 
 from t0kit.b_topology import (
     b_basic_opens,
     b_closure,
-    b_closure_literal,
     b_space,
     chain_pair_is_b_closed_sigma2,
     is_b_closed,
@@ -20,23 +20,9 @@ from t0kit.errors import NotAChainPair
 from t0kit.finite_space import (
     antichain,
     chain,
-    from_cover,
     is_T1,
-    lambda_poset,
     sigma2,
-    v_poset,
 )
-
-GALLERY = [
-    sigma2(),
-    chain(3),
-    chain(4),
-    antichain(3),
-    v_poset(),
-    lambda_poset(),
-    from_cover(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-    from_cover(5, [(0, 2), (1, 2), (2, 3), (2, 4)]),
-]
 
 
 def test_sierpinski_basic_opens_frozen():
@@ -50,13 +36,12 @@ def test_chain3_basic_opens_frozen():
     assert 0b001 in base and 0b010 in base and 0b100 in base
 
 
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_closure_matches_literal_base_quantifier(sp):
-    for a in range(sp.full + 1):
-        assert b_closure(sp, a) == b_closure_literal(sp, a)
+    walk(BY_NAME["b_closure"], [(sp,)])
 
 
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_closure_is_a_closure_operator(sp):
     for a in range(sp.full + 1):
         ca = b_closure(sp, a)
@@ -66,7 +51,7 @@ def test_b_closure_is_a_closure_operator(sp):
         assert is_b_closed(sp, ca)
 
 
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_space_is_discrete_derived_fact(sp):
     assert is_T1(b_space(sp))
     # consequently only the full set is b-dense

@@ -178,6 +178,8 @@ def test_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.space"
     bad.write_text("space Z\npoints a b\nle a b\nle b a\n")
     assert main(["check", str(bad)]) == 2
+    bad.write_bytes(b"space s\npoints a\xff\n")
+    assert main(["check", str(bad)]) == 64  # not UTF-8
     assert main(["enumerate", "--size", "9"]) == 3
     assert main(["enumerate", "--size", "0"]) == 2
     assert main(["corpus", "run", "--bound", "0"]) == 2

@@ -1,16 +1,14 @@
 """Maps, subspaces, products, powers, equalizers.
 
-Product up/down masks are checked against a literal double-loop oracle;
-continuity checks compare the monotone and preimage-of-opens
-characterizations on every map that appears."""
-
-import itertools
+The product, Sierpinski-power and continuity fast paths are checked
+against their literal oracles in tests/oracles.py; maps that appear
+here are checked both monotone and preimage-continuous."""
 
 import pytest
+from oracles import is_preimage_continuous
 
 from t0kit.b_topology import is_b_closed
 from t0kit.constructions import (
-    SpaceMap,
     canonical_embedding,
     closed_pair_representation,
     compose,
@@ -23,7 +21,6 @@ from t0kit.constructions import (
     is_b_retract,
     is_homeomorphism,
     is_monotone,
-    is_preimage_continuous,
     powerset_scott,
     preimage,
     product,
@@ -33,13 +30,11 @@ from t0kit.constructions import (
 )
 from t0kit.errors import EmptyCarrier, MismatchedSpaces, NotContinuous
 from t0kit.finite_space import (
-    FiniteSpace,
     antichain,
     chain,
     from_cover,
     is_subset,
     mask_of,
-    points_of,
     sigma2,
     v_poset,
 )
@@ -54,14 +49,6 @@ def test_space_map_validates_continuity():
         space_map(s, s, (1, 0))
     with pytest.raises(MismatchedSpaces):
         space_map(s, s, (0, 1, 1))
-
-
-def test_monotone_agrees_with_preimage_continuity():
-    spaces = [sigma2(), chain(3), v_poset(), antichain(2)]
-    for dom, cod in itertools.product(spaces, repeat=2):
-        for table in itertools.product(range(cod.n), repeat=dom.n):
-            f = SpaceMap(dom, cod, table)
-            assert is_monotone(f) == is_preimage_continuous(f)
 
 
 def test_compose_and_identity():
@@ -90,42 +77,6 @@ def test_subspace_of_chain():
     assert is_monotone(sub.inclusion) and is_preimage_continuous(sub.inclusion)
     with pytest.raises(EmptyCarrier):
         subspace(chain(4), 0)
-
-
-def _literal_product_check(factors):
-    """up, down, index and coords against the componentwise double loop."""
-    prod = product(factors)
-    grid = list(itertools.product(*(range(s.n) for s in factors)))
-    assert prod.space.n == len(grid)
-    # first coordinate most significant: the grid in lexicographic order
-    assert [prod.index(xs) for xs in grid] == list(range(len(grid)))
-
-    def leq(xs, ys):
-        return all(s.leq(x, y) for s, x, y in zip(factors, xs, ys))
-
-    for xs in grid:
-        idx = prod.index(xs)
-        assert prod.coords(idx) == xs
-        up = 0
-        down = 0
-        for ys in grid:
-            j = prod.index(ys)
-            if leq(xs, ys):
-                up |= 1 << j
-            if leq(ys, xs):
-                down |= 1 << j
-        assert prod.space.up[idx] == up
-        assert prod.space.down[idx] == down
-
-
-def test_product_against_literal_oracle():
-    for factors in (
-        [sigma2(), chain(3)],
-        [v_poset(), antichain(2), chain(3)],
-        [v_poset()],
-        [sigma2()] * 4,
-    ):
-        _literal_product_check(factors)
 
 
 def test_projections_continuous():

@@ -10,8 +10,9 @@ import itertools
 import random
 
 import pytest
+from oracles import is_preimage_continuous
 
-from t0kit.constructions import SpaceMap, find_homeomorphism, is_preimage_continuous
+from t0kit.constructions import SpaceMap, find_homeomorphism
 from t0kit.enumeration import (
     all_continuous_maps,
     all_spaces,

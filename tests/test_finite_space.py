@@ -1,13 +1,13 @@
 """Kernel tests.
 
-Expected values are frozen from independent oracles: closures from the
-literal smallest-closed-superset scan, saturations from the literal
-intersection of covering opens, irreducible closed sets from the
-2^n-subset filter.  The oracles live at the bottom of this file and the
-sweep tests run both sides on every subset.
+Expected values are frozen from independent oracles.  The oracles
+themselves (closures from the smallest closed superset, saturations
+from the intersection of covering opens, irreducible closed sets from
+the pairwise reducibility scan) are rows of tests/oracles.py.
 """
 
 import pytest
+from oracles import BY_NAME, GALLERY, space_id, walk
 
 from t0kit import caps
 from t0kit.errors import (
@@ -19,13 +19,10 @@ from t0kit.errors import (
     NotT0,
 )
 from t0kit.finite_space import (
-    FiniteSpace,
-    all_closed_sets,
     all_opens,
     antichain,
     chain,
     closure,
-    from_cover,
     from_opens,
     from_order,
     interior,
@@ -45,19 +42,6 @@ from t0kit.finite_space import (
     v_poset,
 )
 from t0kit.properties import way_below_opens
-
-GALLERY = [
-    point(),
-    sigma2(),
-    antichain(2),
-    chain(3),
-    chain(4),
-    antichain(3),
-    v_poset(),
-    lambda_poset(),
-    from_cover(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),  # diamond
-    from_cover(4, [(0, 2), (1, 2), (1, 3)]),  # N-shape
-]
 
 
 def test_mask_helpers_roundtrip():
@@ -171,64 +155,13 @@ def test_saturated_sets_are_up_sets():
     assert set(sats) == {s for s in range(8) if saturate(sp, s) == s}
 
 
-# Oracles: literal definitions over the materialized topology.
-
-
-def oracle_closure(sp: FiniteSpace, a: int) -> int:
-    best = sp.full
-    for c in all_closed_sets(sp):
-        if is_subset(a, c) and is_subset(c, best):
-            best = c
-    return best
-
-
-def oracle_saturate(sp: FiniteSpace, a: int) -> int:
-    out = sp.full
-    for u in all_opens(sp):
-        if is_subset(a, u):
-            out &= u
-    return out
-
-
-def oracle_interior(sp: FiniteSpace, a: int) -> int:
-    out = 0
-    for u in all_opens(sp):
-        if is_subset(u, a):
-            out |= u
-    return out
-
-
-def oracle_irreducible(sp: FiniteSpace) -> tuple[int, ...]:
-    closed = [c for c in range(sp.full + 1) if sp.is_closed(c)]
-    out = []
-    for f in closed:
-        if f == 0:
-            continue
-        splits = [
-            (c1, c2)
-            for c1 in closed
-            for c2 in closed
-            if c1 | c2 == f and c1 != f and c2 != f
-        ]
-        if not splits:
-            out.append(f)
-    return tuple(out)
-
-
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_operators_match_oracles(sp):
-    for a in range(sp.full + 1):
-        assert closure(sp, a) == oracle_closure(sp, a)
-        assert saturate(sp, a) == oracle_saturate(sp, a)
-        assert interior(sp, a) == oracle_interior(sp, a)
-    assert irreducible_closed_sets(sp) == oracle_irreducible(sp)
-    assert set(all_closed_sets(sp)) == {
-        c for c in range(sp.full + 1) if sp.is_closed(c)
-    }
-    assert set(all_opens(sp)) == {u for u in range(sp.full + 1) if sp.is_open(u)}
+    walk(BY_NAME["closure, saturate, interior"], [(sp,)])
+    walk(BY_NAME["irreducible_closed_sets"], [(sp,)])
 
 
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_kuratowski_laws(sp):
     full = sp.full
     assert closure(sp, 0) == 0
@@ -241,7 +174,7 @@ def test_kuratowski_laws(sp):
             assert closure(sp, a | b) == ca | closure(sp, b)
 
 
-@pytest.mark.parametrize("sp", GALLERY, ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_every_irreducible_closed_is_a_point_closure(sp):
     # finite T0 fact, derived: irreducible closed sets have a greatest point
     for f in irreducible_closed_sets(sp):

@@ -2,35 +2,22 @@
 
 The five checkers are exercised on handcrafted spaces, then swept over
 every space with up to 4 points (the 7-point sweep is the acceptance
-suite's job).  Every reduced checker is compared with the literal scan
-it replaced, kept here verbatim as an oracle: the reducibility scan,
-the strong-d scan over every subset and every open, and the two
-2^|opens| family passes of open well-filteredness (literal_way_below
-builds the whole way-below table in one pass; literal_owf counts and
-checks the filtered families).
-Reports are compared whole, so OWF's closed-form family counts must
-equal the literal ones on every space with at most 12 opens."""
+suite's job).  Each reduced checker is compared with the literal scan
+it replaced in tests/oracles.py, whose table tests/test_oracles.py
+walks; the tests here pin frozen values, tier selection, and what each
+reduced tier costs."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from oracles import GALLERY, literal_owf, literal_way_below, top_cone
 
 from t0kit import caps, properties
 from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import NotAPartialOrder, NotOpen
 from t0kit.finite_space import (
     FiniteSpace,
-    all_closed_sets,
     all_opens,
     antichain,
     chain,
-    from_cover,
-    from_order,
-    irreducible_closed_sets,
-    is_directed,
-    is_subset,
-    iter_bits,
-    lambda_poset,
     sigma2,
     v_poset,
 )
@@ -38,7 +25,6 @@ from t0kit.properties import (
     CHECKERS,
     PropertyReport,
     _owf_structural,
-    _pts,
     is_co_sober,
     is_k_bounded_sober,
     is_open_well_filtered,
@@ -46,15 +32,6 @@ from t0kit.properties import (
     is_strong_d,
     way_below_opens,
 )
-
-GALLERY = [
-    sigma2(),
-    chain(3),
-    antichain(3),
-    v_poset(),
-    lambda_poset(),
-    from_cover(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-]
 
 
 def test_sober_on_gallery():
@@ -92,26 +69,6 @@ def test_way_below_frozen_examples():
     assert not way_below_opens(s, 0b11, 0b10)
     with pytest.raises(NotOpen):
         way_below_opens(s, 0b01, 0b11)
-
-
-def test_way_below_reduction_matches_literal():
-    for sp in spaces_up_to(4):
-        opens = all_opens(sp)
-        if len(opens) > caps.cap("owf_opens"):
-            continue  # literal quantifier guarded beyond the cap
-        below, _ = literal_way_below(sp)
-        for i, u in enumerate(opens):
-            for j, v in enumerate(opens):
-                assert way_below_opens(sp, u, v) == bool(below[j] >> i & 1)
-
-
-def test_owf_tiers_agree_where_both_run():
-    for sp in spaces_up_to(4):
-        if len(all_opens(sp)) > caps.cap("owf_opens"):
-            continue
-        lit = literal_owf(sp)
-        struct = _owf_structural(sp)
-        assert lit.holds == struct.holds
 
 
 def test_owf_tier_selection():
@@ -178,224 +135,6 @@ def test_owf_literal_family_counts_sierpinski():
     assert rep.details["filtered_families"] == 7
     assert rep.holds
     assert rep == literal_owf(sigma2())
-
-
-# Literal oracles for the reduced checkers.  These are the quantifier
-# scans the reduced code replaced, kept verbatim: the pairwise
-# reducibility scan over proper closed subsets, the strong-d scan over
-# every subset D and every open U, and the two 2^|opens| family passes
-# of open well-filteredness (guarded by the owf_opens cap).
-
-
-def literal_irreducible_closed_sets(space):
-    closed = all_closed_sets(space)
-    out = []
-    for f in closed:
-        if f == 0:
-            continue
-        proper = [c & f for c in closed if c & f != f]
-        proper = sorted(set(proper))
-        reducible = any(
-            c1 | c2 == f for i, c1 in enumerate(proper) for c2 in proper[i:]
-        )
-        if not reducible:
-            out.append(f)
-    return tuple(out)
-
-
-def literal_strong_d(space):
-    opens = all_opens(space)
-    full = space.full
-    bad = None
-    directed_count = 0
-    for d_mask in range(1, full + 1):
-        if not is_directed(space, d_mask):
-            continue
-        directed_count += 1
-        inter = full
-        for d in iter_bits(d_mask):
-            inter &= space.up[d]
-        for x in range(space.n):
-            target = inter & space.up[x]
-            for u in opens:
-                if not is_subset(target, u):
-                    continue
-                if not any(
-                    is_subset(space.up[d] & space.up[x], u)
-                    for d in iter_bits(d_mask)
-                ):
-                    bad = {
-                        "directed": _pts(d_mask),
-                        "point": x,
-                        "open": _pts(u),
-                        "intersection": _pts(target),
-                    }
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return PropertyReport(
-        name="strong_d",
-        holds=bad is None,
-        method="exhaustive",
-        witness=bad,
-        details={"directed_sets": directed_count},
-    )
-
-
-def literal_way_below(space):
-    """Reference way-below quantifier over all 2^|opens| nonempty
-    subfamilies, for every pair of opens in one pass.
-
-    Returns below, where below[j] is the mask of the i with opens[i]
-    way-below opens[j] (indices into all_opens(space)), and the number
-    of directed subfamilies scanned."""
-    opens = all_opens(space)
-    m = len(opens)
-    caps.guard(m, caps.cap("owf_opens"), "opens count for literal way-below")
-    super_of = []  # super_of[i] = mask of j with opens[j] >= opens[i]
-    for i in range(m):
-        sup_row = 0
-        for j in range(m):
-            if is_subset(opens[i], opens[j]):
-                sup_row |= 1 << j
-        super_of.append(sup_row)
-    bound_in = [
-        [super_of[i] & super_of[j] for j in range(m)] for i in range(m)
-    ]  # family members dominating opens[i] | opens[j]
-
-    # Find the upward-directed subfamilies (the candidate covers).
-    # not_wb[i] accumulates every j refuted by a directed cover of
-    # opens[j] containing no member above opens[i].
-    not_wb = [0] * m
-    directed_families = 0
-    for fam in range(1, 1 << m):
-        idxs = list(iter_bits(fam))
-        if not all(
-            bound_in[i][j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
-        ):
-            continue
-        directed_families += 1
-        union = 0
-        for i in idxs:
-            union |= opens[i]
-        covered = 0  # mask of j with opens[j] <= union
-        for j in range(m):
-            if is_subset(opens[j], union):
-                covered |= 1 << j
-        for i in range(m):
-            if not (fam & super_of[i]):
-                not_wb[i] |= covered
-    wb = [~not_wb[i] & ((1 << m) - 1) for i in range(m)]
-    below = [0] * m
-    for i in range(m):
-        for j in iter_bits(wb[i]):
-            below[j] |= 1 << i
-    return below, directed_families
-
-
-def literal_owf(space):
-    """Quantify over every nonempty subfamily of opens: if it is filtered
-    for way-below and its intersection lies in an open U, some member
-    must lie in U.
-
-    The literal way-below table comes from literal_way_below, so the
-    whole check is two 2^|opens| passes rather than one per pair."""
-    below, directed_families = literal_way_below(space)
-    opens = all_opens(space)
-    m = len(opens)
-    sub_of = [  # sub_of[k] = mask of i with opens[i] <= opens[k]
-        sum(1 << i for i in range(m) if is_subset(opens[i], opens[k])) for k in range(m)
-    ]
-
-    # The way-below-filtered subfamilies (downward: every pair dominates
-    # a common member) feed the actual well-filteredness condition.
-    bad = None
-    filtered_count = 0
-    for fam in range(1, 1 << m):
-        idxs = list(iter_bits(fam))
-        if not all(
-            below[i] & below[j] & fam for a, i in enumerate(idxs) for j in idxs[a:]
-        ):
-            continue
-        filtered_count += 1
-        inter = space.full
-        for i in idxs:
-            inter &= opens[i]
-        for k in range(m):
-            if is_subset(inter, opens[k]) and not (fam & sub_of[k]):
-                bad = {
-                    "family": [_pts(opens[i]) for i in idxs],
-                    "open": _pts(opens[k]),
-                    "intersection": _pts(inter),
-                }
-                break
-        if bad:
-            break
-    return PropertyReport(
-        name="open_well_filtered",
-        holds=bad is None,
-        method="exhaustive",
-        witness=bad,
-        details={
-            "opens_count": m,
-            "directed_families": directed_families,
-            "filtered_families": filtered_count,
-        },
-    )
-
-
-def assert_reduced_matches_literal(sp):
-    """Reports compare holds, method, witness and details at once."""
-    assert irreducible_closed_sets(sp) == literal_irreducible_closed_sets(sp)
-    reducibility = (is_sober, is_co_sober, is_k_bounded_sober)
-    reduced = [check(sp) for check in reducibility]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(properties, "irreducible_closed_sets", literal_irreducible_closed_sets)
-        assert reduced == [check(sp) for check in reducibility]
-    assert is_strong_d(sp) == literal_strong_d(sp)
-    if len(all_opens(sp)) <= caps.cap("owf_opens"):
-        assert is_open_well_filtered(sp) == literal_owf(sp)
-
-
-def test_reduced_checkers_match_literal_scans_up_to_5_points():
-    for sp in spaces_up_to(5):
-        assert_reduced_matches_literal(sp)
-
-
-def test_strong_d_matches_literal_scan_up_to_6_points():
-    with caps.scoped(enum=6):
-        spaces = list(spaces_up_to(6))
-    assert len(spaces) == 405
-    for sp in spaces:
-        assert is_strong_d(sp) == literal_strong_d(sp)
-
-
-@st.composite
-def random_posets(draw):
-    """A random relation on a shuffled line of at most 8 points, closed
-    transitively."""
-    n = draw(st.integers(1, 8))
-    line = draw(st.permutations(range(n)))
-    related = iter(draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2,
-                                 max_size=n * (n - 1) // 2)))
-    up = [1 << x for x in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            if next(related):
-                up[line[i]] |= up[line[j]]
-    return from_order(n, [(x, y) for x in range(n) for y in iter_bits(up[x]) if x != y])
-
-
-@settings(derandomize=True, deadline=None)
-@given(random_posets())
-def test_reduced_checkers_match_literal_scans_on_random_posets(sp):
-    assert_reduced_matches_literal(sp)
-
-
-def top_cone(k):
-    return from_order(k, [(i, k - 1) for i in range(k - 1)])
 
 
 def counting(mp, name):

@@ -5,6 +5,7 @@ import pytest
 from t0kit.constructions import find_homeomorphism, subspace
 from t0kit.errors import BadParams, CapExceeded, NotRepresentable
 from t0kit.properties import is_co_sober
+from t0kit.symbolic import alexandrov
 from t0kit.symbolic.alexandrov import (
     AlexandrovNat,
     AlexSet,
@@ -125,6 +126,14 @@ def test_cosober_verdict():
     assert v.details["truncation_t1"] is False
     with pytest.raises(BadParams):
         check_cosober_alexandrov(bound=1)
+
+
+def test_over_cap_bound_is_refused_before_the_split_loop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(alexandrov, "union", lambda *args: calls.append(args))
+    with pytest.raises(CapExceeded):
+        check_cosober_alexandrov(bound=1500)
+    assert calls == []
 
 
 def test_truncations_are_chains_and_coherent():

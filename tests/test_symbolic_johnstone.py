@@ -5,11 +5,20 @@ cross-checked pointwise against a grid large enough to separate every
 shape in the sample pool; the way-below refutation is re-validated
 clause by clause from the cover members it names."""
 
+import tracemalloc
+
 import pytest
 
-from t0kit.errors import BadParams, EmptyOpen
+from t0kit.errors import BadParams, CapExceeded, EmptyOpen
 from t0kit.symbolic import johnstone
-from t0kit.symbolic.cofinite import cofinite_excluding
+from t0kit.symbolic.cofinite import (
+    CofiniteNat,
+    check_owf,
+    check_owf_refutation,
+    cofinite_excluding,
+    empty_set,
+    initial_segment_complements,
+)
 from t0kit.symbolic.johnstone import (
     EMPTY_OPEN,
     FULL_OPEN,
@@ -280,6 +289,9 @@ def test_check_bounds_below_one_are_refused(bound):
         lambda: check_claim_owf(bound, samples=[]),
         lambda: check_claim_top_row(bound),
         lambda: check_johnstone_claims(bound),
+        lambda: check_owf(bound=bound),
+        lambda: check_owf_refutation(CofiniteNat(), initial_segment_complements(),
+                                     empty_set(), bound),
     ):
         with pytest.raises(BadParams):
             check()
@@ -323,6 +335,19 @@ def test_kn_subspace():
         k2.leq((1, 1), (3, 1))  # (1, 1) was deleted
     with pytest.raises(BadParams):
         KnSubspace(-1)
+
+
+def test_over_cap_grids_are_refused_before_their_points_are_built():
+    # 600 x 600 is 360,600 points; the refusal must not build them
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            truncate_grid(600, 600)
+        with pytest.raises(CapExceeded):
+            KnSubspace(2).truncate(columns=600, height=600)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_default_sample_pool_shape():

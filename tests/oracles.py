@@ -588,6 +588,15 @@ def walk(row: Row, inputs: Iterable[tuple]) -> list[Any]:
     return values
 
 
+@functools.cache
+def walked(name: str) -> tuple[Any, ...]:
+    """The fast values of the row named name over all its inputs.  The
+    walk runs once per session: the table walk and the agreement tests
+    named after the inputs they cover both read it."""
+    row = BY_NAME[name]
+    return tuple(walk(row, row.inputs()))
+
+
 def off_by_one(value: Any) -> Any:
     """A copy of a fast value with one small fault planted: a negated
     verdict, a flipped low bit, or the first entry of a sequence or

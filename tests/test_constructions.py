@@ -5,7 +5,7 @@ against their literal oracles in tests/oracles.py; maps that appear
 here are checked both monotone and preimage-continuous."""
 
 import pytest
-from oracles import is_preimage_continuous
+from oracles import is_preimage_continuous, walked
 
 from t0kit.b_topology import is_b_closed
 from t0kit.constructions import (
@@ -51,6 +51,11 @@ def test_space_map_validates_continuity():
         space_map(s, s, (0, 1, 1))
 
 
+def test_monotone_agrees_with_preimage_continuity():
+    # every table between sigma2, chain(3), v_poset and antichain(2), and more
+    assert walked("is_monotone")
+
+
 def test_compose_and_identity():
     c3 = chain(3)
     s = sigma2()
@@ -77,6 +82,12 @@ def test_subspace_of_chain():
     assert is_monotone(sub.inclusion) and is_preimage_continuous(sub.inclusion)
     with pytest.raises(EmptyCarrier):
         subspace(chain(4), 0)
+
+
+def test_product_against_literal_oracle():
+    # index, coords, up and down of [sigma2, chain(3)], [v_poset, antichain(2),
+    # chain(3)], [v_poset] and [sigma2] * 4, and more
+    assert walked("product")
 
 
 def test_projections_continuous():

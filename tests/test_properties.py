@@ -8,7 +8,7 @@ walks; the tests here pin frozen values, tier selection, and what each
 reduced tier costs."""
 
 import pytest
-from oracles import GALLERY, literal_owf, literal_way_below, top_cone
+from oracles import GALLERY, literal_owf, literal_way_below, top_cone, walked
 
 from t0kit import caps, properties
 from t0kit.enumeration import all_spaces, spaces_up_to
@@ -69,6 +69,24 @@ def test_way_below_frozen_examples():
     assert not way_below_opens(s, 0b11, 0b10)
     with pytest.raises(NotOpen):
         way_below_opens(s, 0b01, 0b11)
+
+
+def test_way_below_reduction_matches_literal():
+    assert walked("way_below_opens")
+
+
+def test_owf_tiers_agree_where_both_run():
+    assert walked("is_open_well_filtered, _owf_structural")
+
+
+def test_reduced_checkers_match_literal_scans_up_to_5_points():
+    for name in ("irreducible_closed_sets", "is_sober, is_co_sober, is_k_bounded_sober",
+                 "is_strong_d", "is_open_well_filtered, _owf_structural"):
+        assert walked(name)
+
+
+def test_strong_d_matches_literal_scan_up_to_6_points():
+    assert len(walked("is_strong_d")) == 405 + len(GALLERY)
 
 
 def test_owf_tier_selection():

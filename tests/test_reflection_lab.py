@@ -7,6 +7,7 @@ property, and the negative-control predicates fail exactly the closure
 properties they are designed to fail, with machine-checkable witnesses."""
 
 import pytest
+from oracles import extension_outcome, walked
 
 from t0kit.constructions import find_homeomorphism, is_monotone, space_map
 from t0kit.enumeration import all_spaces, spaces_up_to
@@ -137,6 +138,12 @@ def test_reflection_bounds_below_one_are_refused(bad):
         construct_reflection(antichain(3), two, target_bound=2, test_bound=bad)
     with pytest.raises(BadParams):
         construct_reflection(antichain(3), two, target_bound=bad, test_bound=2)
+
+
+def test_is_reflection_matches_the_literal_scan():
+    # every unit between spaces of at most 3 points, for every REGISTRY class
+    outcomes = {extension_outcome(check) for check in walked("is_reflection")}
+    assert outcomes >= {"holds", "none", "several"}
 
 
 def test_reflection_not_found_reports_bounds():

@@ -1,14 +1,15 @@
 """The b-topology of a finite T0 space.
 
 The b-topology on X is generated by the base {U n cl({x}) : x in U open}.
-Its closure operator is decided pointwise: y lies in the b-closure of A
-iff every basic b-open set containing y meets A.  Every basic set
-containing y contains up[y] & down[y] (take U any open with y in U, so
-up[y] <= U, and x with y <= x, so down[y] <= down[x]), and that witness
-set is itself basic (U = up[y], x = y).  Membership therefore reduces to
-one intersection test against the minimal basic neighborhood; nothing
-about the result is assumed in advance.  The literal quantifier over
-every basic set is b_closure's oracle in tests/oracles.py.
+One lemma decides it: every basic set containing y contains
+up[y] & down[y] (take U any open with y in U, so up[y] <= U, and x with
+y <= x, so down[y] <= down[x]), and that witness set is itself basic
+(U = up[y], x = y).  So up[y] & down[y] is the least b-open set around
+y.  b_closure uses it pointwise (y lies in the b-closure of A iff that
+set meets A) and b_space uses it as the up-set of y in bX; nothing about
+either result is assumed in advance.  The literal quantifier over every
+basic set is b_closure's oracle in tests/oracles.py, and the topology
+generated by b_basic_opens is b_space's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .finite_space import (
     FiniteSpace,
     PointSet,
     all_opens,
-    from_opens,
+    from_order,
     iter_bits,
 )
 
@@ -53,8 +54,11 @@ def is_b_dense(space: FiniteSpace, a: PointSet) -> bool:
 
 
 def b_space(space: FiniteSpace) -> FiniteSpace:
-    """The space bX carried by X with the b-topology as its topology."""
-    return from_opens(space.n, b_basic_opens(space))
+    """The space bX carried by X with the b-topology as its topology:
+    by the lemma, y is above x in bX iff y lies in up[x] & down[x]."""
+    return from_order(space.n, [
+        (x, y) for x in range(space.n) for y in iter_bits(space.up[x] & space.down[x])
+    ])
 
 
 @dataclass(frozen=True)

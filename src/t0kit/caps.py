@@ -6,7 +6,8 @@ the only code that picks the one in force: the innermost scoped() value,
 else T0KIT_CAP (read at call time; "N" is the carrier cap, "N,M" the
 carrier and product point caps), else DEFAULTS.  Callers that need more
 room for one construction use scoped() rather than mutating globals;
-truncations of infinite examples go through truncation().
+truncations of infinite examples go through truncation(), and every
+truncation size or sample bound through check_bound().
 """
 
 from __future__ import annotations
@@ -86,10 +87,17 @@ def guard(value: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what}: {value} exceeds cap {cap}")
 
 
+def check_bound(n: int, what: str) -> None:
+    """The one rule for a truncation size or a sample bound: below 1 is
+    BadParams ("<what> must be at least 1"), above the truncate cap is
+    CapExceeded."""
+    if n < 1:
+        raise BadParams(f"{what} must be at least 1")
+    guard(n, cap("truncate"), what)
+
+
 def truncation(n: int, build: Callable[[int], Any]) -> Any:
     """build(n), n in 1..truncate cap, with the carrier cap raised to fit."""
-    if n < 1:
-        raise BadParams("truncation bound must be at least 1")
-    guard(n, cap("truncate"), "truncation size")
+    check_bound(n, "truncation bound")
     with scoped(carrier=max(n, DEFAULTS["carrier"])):
         return build(n)

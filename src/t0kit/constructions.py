@@ -190,8 +190,8 @@ def _spread(masks: Sequence[PointSet], stride: int) -> list[PointSet]:
 class SierpinskiPower:
     """(Sigma2)^m with a bitcode view: coordinate k of a point is bit k of
     its code.  The product indexes the first coordinate most significant,
-    so coordinate k is bit m-1-k of the index, and encode and decode are
-    the same m-bit reversal."""
+    so coordinate k is bit m-1-k of the index, and encode is an m-bit
+    reversal: its own inverse, decoding an index back to its bitcode."""
 
     space: FiniteSpace
     m: int
@@ -201,8 +201,6 @@ class SierpinskiPower:
         for k in range(self.m):
             index = index << 1 | (bitcode >> k) & 1
         return index
-
-    decode = encode
 
 
 def sierpinski_power(m: int) -> SierpinskiPower:
@@ -239,9 +237,6 @@ class CanonicalEmbedding:
     space: FiniteSpace
     opens: tuple[PointSet, ...]
     bitcodes: tuple[int, ...]
-
-    def codomain_leq(self, code1: int, code2: int) -> bool:
-        return is_subset(code1, code2)
 
     def materialize(self) -> tuple[SpaceMap, SierpinskiPower]:
         power = sierpinski_power(len(self.opens))

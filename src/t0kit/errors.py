@@ -18,7 +18,7 @@ class NotAPartialOrder(T0KitError):
 
 
 class NotATopology(T0KitError):
-    """Strict from_opens: input family is not closed under union/intersection."""
+    """from_opens: a given open is not a subset of the carrier."""
 
 
 class CapExceeded(T0KitError):

@@ -132,13 +132,14 @@ def _transpose(n: int, up: list[PointSet]) -> list[PointSet]:
     return down
 
 
-def from_opens(n: int, opens: Iterable[PointSet], strict: bool = False) -> FiniteSpace:
-    """Space generated by the given open sets.
+def from_opens(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
+    """Space generated by the given open sets: the path of the `open`
+    lines of a .space file.
 
     The topology is the closure of the input under finite unions and
-    intersections, plus the empty and full sets.  With strict=True the
-    input (plus empty/full) must already be that closure.  Raises NotT0
-    when two points cannot be separated.
+    intersections, plus the empty and full sets.  Raises NotATopology for
+    an open outside the carrier and NotT0 when two points cannot be
+    separated.
     """
     _check_carrier(n)
     full = (1 << n) - 1
@@ -156,16 +157,7 @@ def from_opens(n: int, opens: Iterable[PointSet], strict: bool = False) -> Finit
             raise NotT0(f"points {seen[up[x]]} and {x} share every open set")
         seen[up[x]] = x
     down = _transpose(n, up)
-    space = FiniteSpace(n, tuple(up), tuple(down))
-    if strict:
-        generated = set(all_opens(space))
-        given = set(opens) | {0, full}
-        if generated != given:
-            extra = sorted(generated ^ given)
-            raise NotATopology(
-                f"input family is not a topology; first discrepancy {extra[0]:#x}"
-            )
-    return space
+    return FiniteSpace(n, tuple(up), tuple(down))
 
 
 def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
@@ -234,15 +226,6 @@ def interior(space: FiniteSpace, a: PointSet) -> PointSet:
     return m
 
 
-def min_open_nbhd(space: FiniteSpace, x: int) -> PointSet:
-    return space.up[x]
-
-
-def is_T1(space: FiniteSpace) -> bool:
-    """T1 for finite spaces means discrete: order is equality."""
-    return all(space.up[x] == 1 << x for x in range(space.n))
-
-
 def is_compact_saturated(space: FiniteSpace, q: PointSet) -> bool:
     """Every subset of a finite space is compact (any open cover is a
     finite cover already), so only saturation is a real condition."""
@@ -278,14 +261,6 @@ def irreducible_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
         if len(maximal) == 1:
             out.append(f)
     return tuple(out)
-
-
-def saturated_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
-    """All saturated subsets (fixpoints of saturate, including empty).
-
-    Saturated sets are the up-closed ones, and in a finite space the
-    up-closed sets are exactly the opens."""
-    return all_opens(space)
 
 
 # Canonical small spaces.  These come up constantly in tests and in the

@@ -296,8 +296,8 @@ def is_t0(space: FiniteSpace) -> PropertyReport:
 
 
 def is_t1(space: FiniteSpace) -> PropertyReport:
-    """T1, which for a finite space means discrete; the witness is the
-    first comparable pair.  finite_space.is_T1 is the bare predicate."""
+    """T1, which for a finite space means discrete: the order is
+    equality.  The witness is the first comparable pair."""
     for x in range(space.n):
         for y in iter_bits(space.up[x]):
             if y != x:

@@ -26,6 +26,7 @@ from .constructions import (
     canonical_embedding,
     compose,
     equalizer,
+    identity,
     image_mask,
     preimage,
     product,
@@ -37,8 +38,7 @@ from .errors import BadParams, EmptyCarrier
 from .finite_space import (
     FiniteSpace,
     PointSet,
-    all_opens,
-    from_opens,
+    from_order,
     irreducible_closed_sets,
     is_subset,
     iter_bits,
@@ -93,19 +93,16 @@ class SobrificationResult:
 
 
 def sobrify_irr(space: FiniteSpace) -> SobrificationResult:
-    """Point the result at the irreducible closed sets; opens are the
-    sets of irreducibles meeting a given open.  Irreducibility makes that
-    family a topology on the nose, so strict construction validates it."""
+    """Point the result at the irreducible closed sets, ordered by
+    inclusion: for F not inside G, the complement of G is an open that
+    meets F and misses G, so the specialization order of Irr(X) is
+    inclusion (Goubault-Larrecq, Non-Hausdorff Topology and Domain
+    Theory, 8.2).  The unit sends x to the closure of x."""
     irr = irreducible_closed_sets(space)
     index = {f: i for i, f in enumerate(irr)}
-    lifted = []
-    for u in all_opens(space):
-        m = 0
-        for i, f in enumerate(irr):
-            if f & u:
-                m |= 1 << i
-        lifted.append(m)
-    result = from_opens(len(irr), lifted, strict=True)
+    result = from_order(len(irr), [
+        (i, j) for i, f in enumerate(irr) for j, g in enumerate(irr) if is_subset(f, g)
+    ])
     unit = space_map(space, result, tuple(index[space.down[x]] for x in range(space.n)))
     return SobrificationResult(
         space=result,
@@ -241,7 +238,7 @@ def construct_reflection(
         )
 
     if predicate(space):
-        got = finish(space_map(space, space, tuple(range(space.n))), "identity")
+        got = finish(identity(space), "identity")
         if got is not None:
             return got
     sob = sobrify_irr(space)

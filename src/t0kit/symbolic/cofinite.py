@@ -206,10 +206,10 @@ def check_owf_refutation(
     u then some member already does.  Returns Refuted exactly when the
     algebra proves the intersection is inside u while no member is;
     returns Holds when a member lands inside u (no refutation); raises
-    BadParams when the family fails its own side conditions.
+    BadParams when the family fails its own side conditions.  The bound
+    follows caps.check_bound.
     """
-    if bound < 1:
-        raise BadParams("the sample bound must be at least 1")
+    caps.check_bound(bound, "the sample bound")
     claim = f"open well-filtered condition for {family.name}"
     sample = family.members(bound)
     indices = list(range(family.start, family.start + bound))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .. import caps
 from ..errors import BadParams
@@ -278,9 +277,7 @@ class ScottQSubspace:
     def truncation_carrier(self, bound: int) -> tuple[Fraction, ...]:
         """First `bound` carrier rationals in the canonical enumeration
         (ascending denominator, then numerator, lowest terms)."""
-        if bound < 1:
-            raise BadParams("truncation bound must be at least 1")
-        caps.guard(bound, caps.cap("truncate"), "truncation size")
+        caps.check_bound(bound, "truncation bound")
         chosen: list[Fraction] = []
         d = 1
         while len(chosen) < bound:

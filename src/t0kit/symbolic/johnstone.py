@@ -422,11 +422,6 @@ def cover_member(sel: MinSelector, k: int) -> JohnstoneOpen:
     return _from_profile(frozenset(), heights, (sel.ev_kind, sel.ev_val))
 
 
-def _check_bound(bound: int) -> None:
-    if bound < 1:
-        raise BadParams("the check bound must be at least 1")
-
-
 def check_way_below(u: JohnstoneOpen, v: JohnstoneOpen, bound: int = 30) -> Verdict:
     """Decide whether u is way below v, per the cover criterion.
 
@@ -437,7 +432,7 @@ def check_way_below(u: JohnstoneOpen, v: JohnstoneOpen, bound: int = 30) -> Verd
     u for every k.  The identities behind the three clauses are checked
     on `bound` instances and hold for all k by the selector arithmetic,
     so nonempty always comes back Refuted."""
-    _check_bound(bound)
+    caps.check_bound(bound, "the check bound")
     claim = f"way below: {u!r} << {v!r}"
     if u.is_empty:
         return holds(claim, "trivial", details={"reason": "empty set is way below everything"})
@@ -500,7 +495,7 @@ def check_claim_way_below_trivial(bound: int = 30,
                                   samples: list[JohnstoneOpen] | None = None) -> Verdict:
     """Way-below is trivial on representable opens: only the empty set
     is way below anything."""
-    _check_bound(bound)
+    caps.check_bound(bound, "the check bound")
     samples = default_sample_opens() if samples is None else samples
     sub = []
     ok = True
@@ -532,7 +527,7 @@ def check_claim_owf(bound: int = 30,
     empty open satisfies the filtration condition against every u.  The
     search over the pool is exhaustive; the verdict stays bounded
     because the pool is."""
-    _check_bound(bound)
+    caps.check_bound(bound, "the check bound")
     samples = default_sample_opens() if samples is None else samples
     wb = {i: check_way_below(u, FULL_OPEN, bound).kind == "holds"
           for i, u in enumerate(samples)}
@@ -601,7 +596,7 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
     finite point meets the top row in a final segment of columns, so
     any nonempty Scott open traces cofinitely) is order arithmetic,
     checked exhaustively on a grid."""
-    _check_bound(bound)
+    caps.check_bound(bound, "the check bound")
     ks = [KnSubspace(n) for n in range(1, bound + 1)]
     # finite points leave, tops stay: sampled grid plus the exact excluder
     for m in range(1, bound + 1):

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import strategies as st
 
 from t0kit import caps, properties
-from t0kit.b_topology import b_basic_opens, b_closure
+from t0kit.b_topology import b_basic_opens, b_closure, b_space
 from t0kit.constructions import (
     SpaceMap,
     compose,
@@ -40,6 +40,7 @@ from t0kit.constructions import (
     preimage,
     product,
     sierpinski_power,
+    space_map,
 )
 from t0kit.enumeration import continuous_maps_list, spaces_up_to
 from t0kit.finite_space import (
@@ -50,6 +51,7 @@ from t0kit.finite_space import (
     chain,
     closure,
     from_cover,
+    from_opens,
     from_order,
     interior,
     irreducible_closed_sets,
@@ -74,7 +76,13 @@ from t0kit.properties import (
     is_strong_d,
     way_below_opens,
 )
-from t0kit.reflection_lab import REGISTRY, ReflectionCheck, is_reflection
+from t0kit.reflection_lab import (
+    REGISTRY,
+    ReflectionCheck,
+    SobrificationResult,
+    is_reflection,
+    sobrify_irr,
+)
 
 # Shared helpers.
 
@@ -304,6 +312,25 @@ def b_closure_literal(space: FiniteSpace) -> tuple[int, ...]:
                 closed |= 1 << y
         out.append(closed)
     return tuple(out)
+
+
+def b_space_literal(space: FiniteSpace) -> FiniteSpace:
+    """The topology generated by the basic b-open sets."""
+    return from_opens(space.n, b_basic_opens(space))
+
+
+def sobrify_irr_literal(space: FiniteSpace) -> SobrificationResult:
+    """Points are the irreducible closed sets; the opens are the sets of
+    irreducibles meeting an open of space.  That family must already be
+    a topology, with nothing left for from_opens to complete."""
+    irr = literal_irreducible_closed_sets(space)
+    index = {f: i for i, f in enumerate(irr)}
+    lifted = [sum(1 << i for i, f in enumerate(irr) if f & u) for u in all_opens(space)]
+    result = from_opens(len(irr), lifted)
+    assert set(all_opens(result)) == set(lifted) | {0, result.full}, "not a topology"
+    unit = space_map(space, result, tuple(index[space.down[x]] for x in range(space.n)))
+    return SobrificationResult(result, unit, "irreducible-closed-sets",
+                               {"irreducible_closed_count": len(irr)})
 
 
 def literal_topology(space: FiniteSpace):
@@ -552,6 +579,12 @@ ROWS = [
         b_closure_literal,
         "every basic b-open set holding y contains up[y] & down[y], itself "
         "basic", None, whole),
+    Row("b_space", b_space, b_space_literal,
+        "the least b-open set around x is up[x] & down[x], so bX is ordered "
+        "by membership in it", None, whole),
+    Row("sobrify_irr", sobrify_irr, sobrify_irr_literal,
+        "Irr(X) is ordered by inclusion: for F not inside G, the complement "
+        "of G is an open meeting F and missing G", None, whole),
     Row("closure, saturate, interior", topology, literal_topology,
         "the opens are the up-sets: closure is the down-closure, saturation "
         "the up-closure", None, whole),

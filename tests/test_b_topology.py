@@ -1,7 +1,8 @@
 """b-topology tests.
 
 The minimal-basic-neighborhood closure is cross-checked against the
-literal all-basic-sets quantifier of tests/oracles.py on every subset.
+literal all-basic-sets quantifier of tests/oracles.py on every subset,
+and b_space against the topology that b_basic_opens generates.
 That the b-topology of a finite T0 space is discrete is a derived
 regression fact here, never an assumption in the code."""
 
@@ -20,9 +21,9 @@ from t0kit.errors import NotAChainPair
 from t0kit.finite_space import (
     antichain,
     chain,
-    is_T1,
     sigma2,
 )
+from t0kit.properties import is_t1
 
 
 def test_sierpinski_basic_opens_frozen():
@@ -53,7 +54,7 @@ def test_b_closure_is_a_closure_operator(sp):
 
 @pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_space_is_discrete_derived_fact(sp):
-    assert is_T1(b_space(sp))
+    assert is_t1(b_space(sp)).holds
     # consequently only the full set is b-dense
     for a in range(sp.full + 1):
         assert is_b_dense(sp, a) == (a == sp.full)

@@ -184,6 +184,7 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["enumerate", "--size", "0"]) == 2
     assert main(["corpus", "run", "--bound", "0"]) == 2
     assert main(["corpus", "run", "--bound", "-3"]) == 2
+    assert main(["corpus", "run", "--bound", "257"]) == 3  # over the truncate cap
     assert main(["enumerate", "--size", "3", "--where", "sober &"]) == 64
     assert main(["enumerate", "--size", "3", "--where", "shiny"]) == 64
     assert main(["bogus"]) == 64

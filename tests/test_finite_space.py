@@ -27,21 +27,18 @@ from t0kit.finite_space import (
     from_order,
     interior,
     irreducible_closed_sets,
-    is_T1,
     is_compact_saturated,
     is_directed,
     is_subset,
     lambda_poset,
     mask_of,
-    min_open_nbhd,
     point,
     points_of,
     saturate,
-    saturated_sets,
     sigma2,
     v_poset,
 )
-from t0kit.properties import way_below_opens
+from t0kit.properties import is_t1, way_below_opens
 
 
 def test_mask_helpers_roundtrip():
@@ -67,12 +64,13 @@ def test_from_opens_requires_t0():
 
 
 def test_from_opens_strict():
-    # {0,1} and {1,2}: intersection {1} is missing, not a topology as given
+    # {0,1} and {1,2} are completed to a topology: their intersection
+    # {1} becomes open, and 1 lies above both 0 and 2
+    sp = from_opens(3, [0b011, 0b110])
+    assert 0b010 in all_opens(sp)
+    assert sp == from_order(3, [(0, 1), (2, 1)])
     with pytest.raises(NotATopology):
-        from_opens(3, [0b011, 0b110], strict=True)
-    sp = from_opens(3, [0b100, 0b110], strict=True)
-    assert sp == chain(3)
-    assert from_opens(2, [0b10], strict=True) == sigma2()
+        from_opens(2, [0b100])  # an open outside the carrier
 
 
 def test_from_order_validates():
@@ -125,13 +123,13 @@ def test_closure_and_saturate_frozen():
     assert saturate(sp, 0b010) == 0b110
     assert interior(sp, 0b011) == 0
     assert interior(sp, 0b110) == 0b110
-    assert min_open_nbhd(sp, 0) == 0b111
+    assert sp.up[0] == 0b111  # the least open neighborhood of 0
 
 
 def test_t1_means_discrete():
-    assert is_T1(antichain(3))
-    assert not is_T1(sigma2())
-    assert is_T1(point())
+    assert is_t1(antichain(3)).holds
+    assert not is_t1(sigma2()).holds
+    assert is_t1(point()).holds
 
 
 def test_compactness_and_directedness():
@@ -151,7 +149,7 @@ def test_irreducible_closed_sets_v_poset():
 
 def test_saturated_sets_are_up_sets():
     sp = v_poset()
-    sats = saturated_sets(sp)
+    sats = all_opens(sp)
     assert set(sats) == {s for s in range(8) if saturate(sp, s) == s}
 
 

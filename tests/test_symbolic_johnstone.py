@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from t0kit import caps
 from t0kit.errors import BadParams, CapExceeded, EmptyOpen
 from t0kit.symbolic import johnstone
 from t0kit.symbolic.cofinite import (
@@ -295,6 +296,22 @@ def test_check_bounds_below_one_are_refused(bound):
     ):
         with pytest.raises(BadParams):
             check()
+
+
+def test_check_bounds_above_the_truncate_cap_are_refused():
+    bound = caps.cap("truncate") + 1
+    for check in (
+        lambda: check_way_below(EMPTY_OPEN, FULL_OPEN, bound),
+        lambda: check_claim_way_below_trivial(bound, samples=[]),
+        lambda: check_claim_owf(bound, samples=[]),
+        lambda: check_claim_top_row(bound),
+        lambda: check_johnstone_claims(bound),
+        lambda: check_owf(bound=bound),
+    ):
+        with pytest.raises(CapExceeded):
+            check()
+    with caps.scoped(truncate=bound):
+        assert check_claim_top_row(bound).kind == "holds"
 
 
 def test_top_row_traces():

@@ -5,11 +5,15 @@ One lemma decides it: every basic set containing y contains
 up[y] & down[y] (take U any open with y in U, so up[y] <= U, and x with
 y <= x, so down[y] <= down[x]), and that witness set is itself basic
 (U = up[y], x = y).  So up[y] & down[y] is the least b-open set around
-y.  b_closure uses it pointwise (y lies in the b-closure of A iff that
-set meets A) and b_space uses it as the up-set of y in bX; nothing about
-either result is assumed in advance.  The literal quantifier over every
-basic set is b_closure's oracle in tests/oracles.py, and the topology
-generated by b_basic_opens is b_space's.
+y.  b_closure uses it with the quantifier swapped: y lies in the
+b-closure of A iff up[y] & down[y] meets A, that is iff some z in A
+lies in up[y] & down[y], and that holds iff y lies in up[z] & down[z].
+So the b-closure of A is the union of up[z] & down[z] over z in A,
+one mask operation per point of A rather than per point of X.  b_space
+uses the lemma as the up-set of y in bX; nothing about either result is
+assumed in advance.  The literal quantifier over every basic set is
+b_closure's oracle in tests/oracles.py, and the topology generated by
+b_basic_opens is b_space's.
 """
 
 from __future__ import annotations
@@ -37,11 +41,16 @@ def b_basic_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
 
 
 def b_closure(space: FiniteSpace, a: PointSet) -> PointSet:
+    """The union of up[z] & down[z] over the points z of A; bits of a
+    outside the carrier are ignored."""
+    up, down = space.up, space.down
+    a &= (1 << space.n) - 1
     out = 0
-    for y in range(space.n):
-        min_basic = space.up[y] & space.down[y]
-        if min_basic & a:
-            out |= 1 << y
+    while a:
+        low = a & -a
+        z = low.bit_length() - 1
+        out |= up[z] & down[z]
+        a ^= low
     return out
 
 

@@ -260,9 +260,10 @@ def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
     # identity first: a FiniteSpace == compares whole tuples
     if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise MismatchedSpaces("equalizer needs a parallel pair")
+    f_table, g_table = f.table, g.table
     m = 0
     for x in range(f.dom.n):
-        if f.table[x] == g.table[x]:
+        if f_table[x] == g_table[x]:
             m |= 1 << x
     return m
 

@@ -138,26 +138,36 @@ def spaces_up_to(n: int) -> Iterator[FiniteSpace]:
 def all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMap]:
     """Stream every continuous map dom -> cod.
 
-    Backtracking in a linear-extension order of dom: each point's image
-    must sit above the images of its already-placed predecessors, so
-    monotonicity is enforced incrementally and never re-checked."""
-    order = sorted(range(dom.n), key=lambda x: dom.down[x].bit_count())
-    table = [0] * dom.n
-
-    def place(i: int) -> Iterator[SpaceMap]:
-        if i == dom.n:
+    Backtracking in a linear-extension order of dom (points by the size
+    of their down-sets, ties by label): each point's image must sit
+    above the images of its already-placed predecessors, so monotonicity
+    is enforced incrementally and never re-checked.  Images are tried in
+    ascending order, so the maps come out sorted by their images read
+    along that order.  The backtracking keeps an explicit stack: entry i
+    holds the images not yet tried for the i-th point."""
+    n = dom.n
+    order = sorted(range(n), key=lambda x: dom.down[x].bit_count())
+    below = [[y for y in iter_bits(dom.down[x]) if y != x] for x in order]
+    cod_up, cod_full = cod.up, cod.full
+    table = [0] * n
+    untried: list[PointSet] = []
+    while True:
+        i = len(untried)
+        if i == n:
             yield SpaceMap(dom, cod, tuple(table))
+        else:
+            allowed = cod_full
+            for y in below[i]:
+                allowed &= cod_up[table[y]]
+            untried.append(allowed)
+        while untried and not untried[-1]:
+            untried.pop()
+        if not untried:
             return
-        x = order[i]
-        allowed = cod.full
-        for y in iter_bits(dom.down[x]):
-            if y != x:
-                allowed &= cod.up[table[y]]
-        for v in iter_bits(allowed):
-            table[x] = v
-            yield from place(i + 1)
-
-    yield from place(0)
+        rest = untried[-1]
+        low = rest & -rest
+        untried[-1] = rest ^ low
+        table[order[len(untried) - 1]] = low.bit_length() - 1
 
 
 def continuous_maps_list(dom: FiniteSpace, cod: FiniteSpace) -> tuple[SpaceMap, ...]:

@@ -42,7 +42,7 @@ from t0kit.constructions import (
     sierpinski_power,
     space_map,
 )
-from t0kit.enumeration import continuous_maps_list, spaces_up_to
+from t0kit.enumeration import all_continuous_maps, continuous_maps_list, spaces_up_to
 from t0kit.finite_space import (
     FiniteSpace,
     all_closed_sets,
@@ -361,6 +361,17 @@ def is_preimage_continuous(f: SpaceMap) -> bool:
     return all(f.dom.is_open(preimage(f, u)) for u in all_opens(f.cod))
 
 
+def literal_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> tuple[SpaceMap, ...]:
+    """Every table dom -> cod whose preimages of opens are open, sorted
+    by its images read along dom's points ordered by the size of their
+    down-sets, ties by label: the order all_continuous_maps documents."""
+    order = sorted(range(dom.n), key=lambda x: dom.down[x].bit_count())
+    tables = itertools.product(range(cod.n), repeat=dom.n)
+    continuous = [f for f in (SpaceMap(dom, cod, t) for t in tables)
+                  if is_preimage_continuous(f)]
+    return tuple(sorted(continuous, key=lambda f: [f.table[x] for x in order]))
+
+
 def literal_product(factors: list[FiniteSpace]):
     """Point indices, coordinates, up and down masks from the
     componentwise order on the grid of coordinate tuples, first
@@ -490,6 +501,14 @@ def every_table(space: FiniteSpace) -> list[tuple]:
     ]
 
 
+def map_ends(space: FiniteSpace) -> list[tuple]:
+    """The space as domain and as codomain beside each of CODOMAINS; the
+    oracle filters every table, so both ends stop at 4 points."""
+    if space.n > 4:
+        return []
+    return [(space, cod) for cod in CODOMAINS] + [(cod, space) for cod in CODOMAINS]
+
+
 def factor_lists(space: FiniteSpace) -> list[tuple]:
     """The space alone, beside sigma2, beside two fixed factors, and as a
     power, for products of at most 24 points (the oracle is quadratic)."""
@@ -578,7 +597,8 @@ ROWS = [
     Row("b_closure", lambda sp: tuple(b_closure(sp, a) for a in range(sp.full + 1)),
         b_closure_literal,
         "every basic b-open set holding y contains up[y] & down[y], itself "
-        "basic", None, whole),
+        "basic; so y is in the closure of A iff y is in up[z] & down[z] for "
+        "some z in A", None, whole),
     Row("b_space", b_space, b_space_literal,
         "the least b-open set around x is up[x] & down[x], so bX is ordered "
         "by membership in it", None, whole),
@@ -591,6 +611,11 @@ ROWS = [
     Row("is_monotone", is_monotone, is_preimage_continuous,
         "a map of finite spaces is continuous iff it is monotone for the "
         "specialization orders", None, every_table),
+    Row("all_continuous_maps", lambda dom, cod: tuple(all_continuous_maps(dom, cod)),
+        literal_continuous_maps,
+        "continuity is monotonicity, so each point's image is chosen above "
+        "the images of the points below it, along a linear extension, "
+        "smallest image first", None, map_ends),
     Row("product", product_tables, literal_product,
         "the product order is componentwise, so up[(c, a)] is up[c] spread "
         "over up[a]", None, factor_lists),

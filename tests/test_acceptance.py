@@ -7,8 +7,6 @@ limits."""
 
 import time
 
-import pytest
-
 from t0kit import caps, reflection_lab
 from t0kit.b_topology import b_space, chain_pair_is_b_closed_sigma2, is_b_closed
 from t0kit.cli import _corpus_rows

@@ -53,6 +53,15 @@ def test_b_closure_is_a_closure_operator(sp):
 
 
 @pytest.mark.parametrize("sp", GALLERY, ids=space_id)
+def test_b_closure_ignores_bits_outside_the_carrier(sp):
+    # a set of points is a mask below 1 << n; higher bits name no point
+    for a in range(sp.full + 1):
+        outside = a | (0b101 << sp.n)
+        assert b_closure(sp, outside) == b_closure(sp, a)
+        assert not is_b_closed(sp, outside)
+
+
+@pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_space_is_discrete_derived_fact(sp):
     assert is_t1(b_space(sp)).holds
     # consequently only the full set is b-dense

@@ -7,7 +7,7 @@ import pytest
 from t0kit import caps, enumeration, finite_space
 from t0kit.enumeration import all_spaces, continuous_maps_list
 from t0kit.errors import CapExceeded
-from t0kit.finite_space import FiniteSpace, all_opens, antichain, chain
+from t0kit.finite_space import all_opens, antichain, chain
 
 
 def test_defaults_visible_in_summary():
@@ -32,6 +32,27 @@ def test_env_override(monkeypatch):
     monkeypatch.setenv("T0KIT_CAP", "nope")
     with pytest.raises(CapExceeded):
         caps.cap("carrier")
+
+
+def test_env_is_read_at_every_call(monkeypatch):
+    # the parse of a value is memoised, the read of the variable is not
+    monkeypatch.setenv("T0KIT_CAP", "20")
+    assert caps.cap("carrier") == 20
+    monkeypatch.setenv("T0KIT_CAP", "9")
+    assert caps.cap("carrier") == 9
+    monkeypatch.setenv("T0KIT_CAP", "20")
+    assert caps.cap("carrier") == 20
+    monkeypatch.delenv("T0KIT_CAP")
+    assert caps.cap("carrier") == caps.DEFAULTS["carrier"]
+
+
+def test_malformed_env_raises_on_every_read(monkeypatch):
+    monkeypatch.setenv("T0KIT_CAP", "8,nope")
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="cannot parse"):
+            caps.cap("carrier")
+    with pytest.raises(CapExceeded, match="cannot parse"):
+        caps.caps_summary()
 
 
 def test_scoped_override_nests_and_restores():

@@ -8,7 +8,7 @@ import pytest
 from t0kit.cli import main
 from t0kit.constructions import find_homeomorphism, product
 from t0kit.finite_space import chain, sigma2
-from t0kit.spacefile import parse_document, parse_space
+from t0kit.spacefile import parse_space
 
 SIGMA2 = "space S\npoints a b\nle a b\n"
 CHAIN3 = "space C3\npoints p q r\nle p q\nle q r\n"

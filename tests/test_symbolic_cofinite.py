@@ -9,7 +9,7 @@ import random
 import pytest
 
 from t0kit.errors import BadParams, CapExceeded, NotOpen
-from t0kit.finite_space import all_opens, antichain
+from t0kit.finite_space import all_opens
 from t0kit.properties import is_open_well_filtered, way_below_opens
 from t0kit.symbolic.cofinite import (
     CofiniteNat,

@@ -12,7 +12,6 @@ truncation size or sample bound through check_bound().
 
 from __future__ import annotations
 
-import functools
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -35,11 +34,8 @@ _ENV_NAMES = ("carrier", "product")  # the fields of T0KIT_CAP, in order
 _SCOPED: ContextVar[dict[str, int]] = ContextVar("t0kit_scoped_caps", default={})
 
 
-@functools.lru_cache(maxsize=8)
-def _parse(raw: str) -> dict[str, int]:
-    """The caps a T0KIT_CAP value sets, memoised per raw string (the
-    result is shared, so callers only read it).  A malformed value
-    raises, and a raise is not memoised, so it raises on every read."""
+def _env_caps() -> dict[str, int]:
+    raw = os.environ.get("T0KIT_CAP")
     if not raw:
         return {}
     parts = [p.strip() for p in raw.split(",")]
@@ -77,7 +73,7 @@ def cap(name: str) -> int:
     if name in scoped_caps:
         return scoped_caps[name]
     if name in _ENV_NAMES:
-        return _parse(os.environ.get("T0KIT_CAP", "")).get(name, DEFAULTS[name])
+        return _env_caps().get(name, DEFAULTS[name])
     return DEFAULTS[name]
 
 

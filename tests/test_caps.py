@@ -35,7 +35,6 @@ def test_env_override(monkeypatch):
 
 
 def test_env_is_read_at_every_call(monkeypatch):
-    # the parse of a value is memoised, the read of the variable is not
     monkeypatch.setenv("T0KIT_CAP", "20")
     assert caps.cap("carrier") == 20
     monkeypatch.setenv("T0KIT_CAP", "9")

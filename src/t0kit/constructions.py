@@ -9,6 +9,7 @@ tests/oracles.py, beside the oracles of product and sierpinski_power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Sequence
 
 from . import caps
@@ -144,10 +145,14 @@ class ProductResult:
             raise MismatchedSpaces("coordinate arity mismatch")
         idx = 0
         for c, s in zip(coords, self.factors):
+            if not 0 <= c < s.n:
+                raise MismatchedSpaces(f"coordinate {c} outside a factor of {s.n} points")
             idx = idx * s.n + c
         return idx
 
     def coords(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.space.n:
+            raise MismatchedSpaces(f"index {index} outside a product of {self.space.n} points")
         out = []
         for s in reversed(self.factors):
             index, c = divmod(index, s.n)
@@ -166,24 +171,38 @@ def product(factors: Sequence[FiniteSpace]) -> ProductResult:
     Points are tuples indexed with the first coordinate most significant.
     The factors are folded in from the last, each new factor S becoming
     the top coordinate over the n points built so far: (c, a) is c * n + a.
-    The order is componentwise, so up[(c, a)] plants a copy of up[a] at
-    each slot d * n for d in up_S[c]; up_S[c] is spread to stride n once,
-    and a plain big-int multiply by up[a] does all slots at once.
+    The order is componentwise, so up[(c, a)] is up[a] planted at slot
+    d * n for each d in up_S[c], and down likewise (see _plant).
     """
     n = 1
     up = [1]
     down = [1]
     for s in reversed(factors):
         caps.guard(n * s.n, caps.cap("product"), "product carrier size")
-        up = [su * u for su in _spread(s.up, n) for u in up]
-        down = [sd * d for sd in _spread(s.down, n) for d in down]
+        up = _plant(up, s.up, n)
+        down = _plant(down, s.down, n)
         n *= s.n
     return ProductResult(FiniteSpace(n, tuple(up), tuple(down)), tuple(factors))
 
 
-def _spread(masks: Sequence[PointSet], stride: int) -> list[PointSet]:
-    """Each mask with bit d moved to bit d * stride."""
-    return [sum(1 << (d * stride) for d in iter_bits(m)) for m in masks]
+def _plant(masks: list[PointSet], factor_masks: Sequence[PointSet], n: int) -> list[PointSet]:
+    """The masks over the n points built so far, under one new top
+    coordinate: for each factor mask in turn, the block of the n masks
+    shifted to slot d * n and ORed over the bits d of the factor mask.
+    Slot d's shifted column is built once and shared by every factor mask
+    with bit d."""
+    slots = [masks, *([m << k for m in masks] for k in range(n, n * len(factor_masks), n))]
+    out = []
+    for fm in factor_masks:
+        d = fm.bit_length() - 1
+        block = slots[d]
+        fm ^= 1 << d
+        while fm:
+            d = fm.bit_length() - 1
+            block = map(or_, block, slots[d])
+            fm ^= 1 << d
+        out += block
+    return out
 
 
 @dataclass(frozen=True)

@@ -519,7 +519,8 @@ def factor_lists(space: FiniteSpace) -> list[tuple]:
 
 def power_exponent(space: FiniteSpace) -> list[tuple]:
     """An n-point seed walks the power on n - 1 coordinates, so the
-    chains of 1 to 9 points give the exponents 0 to 8."""
+    chains of 1 to 13 points give the exponents 0 to 12: 2^12 points is
+    the default product cap."""
     return [(space.n - 1,)]
 
 
@@ -617,11 +618,12 @@ ROWS = [
         "the images of the points below it, along a linear extension, "
         "smallest image first", None, map_ends),
     Row("product", product_tables, literal_product,
-        "the product order is componentwise, so up[(c, a)] is up[c] spread "
-        "over up[a]", None, factor_lists),
+        "the product order is componentwise, so up[(c, a)] is up[a] shifted "
+        "to slot d * n for each d in up[c] and ORed over those slots", None,
+        factor_lists),
     Row("sierpinski_power", lambda m: sierpinski_power(m).space, powerset_scott,
         "the power of sigma2 is the powerset under inclusion", None,
-        power_exponent, seeds=lambda: (chain(k) for k in range(1, 10))),
+        power_exponent, seeds=lambda: (chain(k) for k in range(1, 14))),
     Row("is_reflection", is_reflection, is_reflection_by_scan,
         "f has one extension per g with g . eta == f, so the extensions are "
         "counted by the table of g . eta", None, units,

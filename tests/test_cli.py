@@ -101,6 +101,18 @@ def test_construct_sobrify_routes(capsys, chain3_file):
     assert find_homeomorphism(doc2.space, chain(3)) is not None
 
 
+@pytest.mark.parametrize("le_e_d, code", [(True, 0), (False, 3)])
+def test_sobrify_bclosure_exit_code_at_the_product_cap(capsys, tmp_path, le_e_d, code):
+    # e below a b c d and d below c: 12 nonempty opens, a 4096-point power;
+    # without e below d there are 13 and the power would have 8192 points
+    f = tmp_path / "f.space"
+    f.write_text("space F\npoints a b c d e\nle e a\nle e b\nle e c\n"
+                 + ("le e d\n" if le_e_d else "") + "le d c\n")
+    assert main(["construct", "sobrify", str(f), "--route", "bclosure"]) == code
+    err = capsys.readouterr().err
+    assert ("product carrier size: 8192 exceeds cap 4096" in err) == (code == 3)
+
+
 def test_construct_bclosure(capsys, chain3_file):
     code, tree = run_json(
         capsys, ["construct", "bclosure", chain3_file, "--points", "p,r"]

@@ -98,6 +98,17 @@ def test_projections_continuous():
         assert is_monotone(p) and is_preimage_continuous(p)
 
 
+def test_product_index_and_coords_reject_out_of_range_values():
+    prod = product([sigma2(), chain(3)])
+    for coords in [(0, 3), (0, -1)]:
+        with pytest.raises(MismatchedSpaces):
+            prod.index(coords)
+    for index in [6, -1]:
+        with pytest.raises(MismatchedSpaces):
+            prod.coords(index)
+    assert prod.index((1, 0)) == 3 and prod.coords(5) == (1, 2)
+
+
 def test_empty_product_is_point():
     prod = product([])
     assert prod.space.n == 1
@@ -126,12 +137,6 @@ def test_sierpinski_power_bit_convention():
             idx = prod.index(tuple((code >> k) & 1 for k in range(m)))
             assert pw.encode(code) == idx
             assert pw.encode(idx) == code
-
-
-@pytest.mark.parametrize("m", range(9))
-def test_sierpinski_power_equals_powerset_scott(m):
-    # two builders of one space: a product fold and a subset-sum sweep
-    assert sierpinski_power(m).space == powerset_scott(m)
 
 
 def test_powerset_scott_frozen():

@@ -6,12 +6,17 @@ b-closure, reflection), `corpus` replays the infinite-space
 certificates against golden expectations, `enumerate` filters the small
 spaces by a boolean property expression, and `export` draws a space as
 a DOT diagram.  Exit codes: 0 success/Holds, 1 Refuted or expectation
-mismatch, 2 toolkit error, 3 cap exceeded, 64 usage error.
+mismatch, 2 toolkit error, 3 cap exceeded, 64 usage error (a `--where`
+whose parentheses nest deeper than WHERE_DEPTH included).
+
+`main(argv)` may be called any number of times in one process: the
+parser is built on the first call, not at import, and shared after.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -58,10 +63,10 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _first_space(path: str) -> SpaceDoc:
@@ -305,7 +310,17 @@ def cmd_corpus(args) -> int:
 # ----- enumerate -----
 
 
+# Parentheses may nest this deep in --where; deeper is a usage error, so
+# that parsing and evaluating, which recurse once per level, stay far
+# inside Python's recursion limit.
+WHERE_DEPTH = 100
+
+
 def _parse_where(expr: str):
+    """A tree of ("id", name), ("not", node), ("and", nodes), ("or", nodes).
+
+    Chains of & and | are n-ary nodes and runs of ! fold into at most one
+    "not", so neither recurses per operator; only parentheses do."""
     tokens = re.findall(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]|\S", expr)
     pos = 0
 
@@ -320,46 +335,51 @@ def _parse_where(expr: str):
         pos += 1
         return tok
 
-    def atom():
+    def atom(depth):
+        negated = False
+        while peek() == "!":
+            take()
+            negated = not negated
         tok = peek()
         if tok == "(":
+            if depth == WHERE_DEPTH:
+                raise UsageError(f"--where nests parentheses deeper than {WHERE_DEPTH}")
             take()
-            node = disjunction()
+            node = disjunction(depth + 1)
             take(")")
-            return node
-        if tok == "!":
-            take()
-            return ("not", atom())
-        if tok is None or not re.match(r"^[A-Za-z_]", tok):
+        elif tok is None or not re.match(r"^[A-Za-z_]", tok):
             raise UsageError(f"bad --where expression at token {tok!r}")
-        take()
-        if tok not in PROPERTIES:
-            raise UsageError(
-                f"unknown property {tok!r}; choose from {', '.join(PROPERTIES)}"
-            )
-        return ("id", tok)
+        else:
+            take()
+            if tok not in PROPERTIES:
+                raise UsageError(
+                    f"unknown property {tok!r}; choose from {', '.join(PROPERTIES)}"
+                )
+            node = ("id", tok)
+        return ("not", node) if negated else node
 
-    def conjunction():
-        node = atom()
+    def conjunction(depth):
+        nodes = [atom(depth)]
         while peek() == "&":
             take()
-            node = ("and", node, atom())
-        return node
+            nodes.append(atom(depth))
+        return nodes[0] if len(nodes) == 1 else ("and", nodes)
 
-    def disjunction():
-        node = conjunction()
+    def disjunction(depth):
+        nodes = [conjunction(depth)]
         while peek() == "|":
             take()
-            node = ("or", node, conjunction())
-        return node
+            nodes.append(conjunction(depth))
+        return nodes[0] if len(nodes) == 1 else ("or", nodes)
 
-    node = disjunction()
+    node = disjunction(0)
     if pos != len(tokens):
         raise UsageError(f"bad --where expression at token {peek()!r}")
     return node
 
 
 def _eval_where(node, space: FiniteSpace, memo: dict[str, bool]) -> bool:
+    """Left to right, short-circuit, each property checked once per space."""
     kind = node[0]
     if kind == "id":
         name = node[1]
@@ -368,10 +388,11 @@ def _eval_where(node, space: FiniteSpace, memo: dict[str, bool]) -> bool:
         return memo[name]
     if kind == "not":
         return not _eval_where(node[1], space, memo)
-    left = _eval_where(node[1], space, memo)
-    if kind == "and":
-        return left and _eval_where(node[2], space, memo)
-    return left or _eval_where(node[2], space, memo)
+    decisive = kind == "or"  # the child value that settles the chain
+    for child in node[1]:
+        if _eval_where(child, space, memo) == decisive:
+            return decisive
+    return not decisive
 
 
 def cmd_enumerate(args) -> int:
@@ -409,7 +430,13 @@ def cmd_export(args) -> int:
 # ----- parser -----
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after.
+
+    It holds only module constants (property names, registry classes and
+    the cmd_* handlers); every cap is checked by the commands at call
+    time, so no cap decision is cached with it."""
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=["text", "json"], default="text",
                      help="report syntax (default text)")

@@ -173,12 +173,18 @@ def product(factors: Sequence[FiniteSpace]) -> ProductResult:
     the top coordinate over the n points built so far: (c, a) is c * n + a.
     The order is componentwise, so up[(c, a)] is up[a] planted at slot
     d * n for each d in up_S[c], and down likewise (see _plant).
+    Every fold step's size is checked against the product cap before the
+    first mask is built.
     """
+    limit = caps.cap("product")
+    n = 1
+    for s in reversed(factors):
+        caps.guard(n * s.n, limit, "product carrier size")
+        n *= s.n
     n = 1
     up = [1]
     down = [1]
     for s in reversed(factors):
-        caps.guard(n * s.n, caps.cap("product"), "product carrier size")
         up = _plant(up, s.up, n)
         down = _plant(down, s.down, n)
         n *= s.n

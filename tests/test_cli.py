@@ -1,13 +1,23 @@
 """Command-line behavior: reports, exit codes, golden outputs."""
 
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from t0kit.cli import main
+from t0kit import cli
+from t0kit.cli import PROPERTIES, WHERE_DEPTH, main
 from t0kit.constructions import find_homeomorphism, product
 from t0kit.finite_space import chain, sigma2
+from t0kit.reflection_lab import REGISTRY
 from t0kit.spacefile import parse_space
 
 SIGMA2 = "space S\npoints a b\nle a b\n"
@@ -172,6 +182,44 @@ def test_enumerate_where_filter(capsys):
     assert code3 == 0 and tree3["matched"] == tree3["total"] == 2
 
 
+def test_where_chains_of_any_length_match_their_one_term_filter(capsys):
+    code, tree = run_json(capsys, ["enumerate", "--size", "2", "--where", "sober"])
+    assert code == 0 and tree["matched"] == 2
+    for where in [" & ".join(["sober"] * 3000), " | ".join(["sober"] * 3000),
+                  "!" * 3000 + "sober", "!" * 3001 + "!sober"]:
+        code2, tree2 = run_json(capsys, ["enumerate", "--size", "2", "--where", where])
+        assert code2 == 0 and tree2["spaces"] == tree["spaces"]
+    code3, tree3 = run_json(capsys, ["enumerate", "--size", "2", "--where", "!" * 3001 + "sober"])
+    assert code3 == 0 and tree3["matched"] == 0
+
+
+def test_where_nesting_deeper_than_the_limit_is_a_usage_error(capsys):
+    def nested(depth):
+        return "(" * depth + "sober" + ")" * depth
+
+    code, tree = run_json(capsys, ["enumerate", "--size", "2", "--where", nested(WHERE_DEPTH)])
+    assert code == 0 and tree["matched"] == 2
+    for depth in [WHERE_DEPTH + 1, 2000]:
+        assert main(["enumerate", "--size", "2", "--where", nested(depth)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: --where nests parentheses deeper than {WHERE_DEPTH}\n"
+
+
+def test_where_short_circuits_left_to_right_with_one_check_per_space(capsys, monkeypatch):
+    calls = []
+    for name in ["t1", "sober", "cosober"]:
+        check = PROPERTIES[name]
+        monkeypatch.setitem(PROPERTIES, name,
+                            lambda space, name=name, check=check: calls.append(name) or check(space))
+    code, tree = run_json(
+        capsys, ["enumerate", "--size", "2", "--where", "t1 & sober | !t1 & cosober | t1"])
+    assert code == 0 and tree["matched"] == 2
+    # the discrete space stops at "t1 & sober"; Sierpinski skips sober,
+    # reuses t1 for !t1 and stops at cosober
+    assert sorted([calls[:2], calls[2:]]) == [["t1", "cosober"], ["t1", "sober"]]
+
+
 def test_export_dot_golden(capsys, sigma2_file):
     assert main(["export", sigma2_file, "--dot"]) == 0
     out = capsys.readouterr().out
@@ -203,6 +251,44 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["check"]) == 64
     err = capsys.readouterr().err
     assert "usage error" in err and "cap exceeded" in err and "error:" in err
+
+
+def test_parser_is_built_once_on_first_use_and_not_at_import():
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import t0kit.cli as c; print(c.build_parser.cache_info().currsize)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == "0\n"
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch, sigma2_file, chain3_file):
+    sequence = [
+        ["check", sigma2_file],
+        ["check", sigma2_file, "--format", "json"],
+        ["check", sigma2_file, "--property", "shiny"],
+        ["construct", "subspace", chain3_file],
+        ["enumerate", "--size", "7"],
+        ["enumerate", "--size", "0"],
+        ["construct", "subspace", chain3_file, "--points", "q,r"],
+        ["check", sigma2_file],
+    ]
+
+    def run_all():
+        out = []
+        for argv in sequence:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    shared = run_all()
+    assert [r[0] for r in shared] == [1, 1, 64, 64, 3, 2, 0, 1]
+    assert shared[-1] == shared[0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_all() == shared
 
 
 def test_export_requires_dot_flag(capsys, sigma2_file):
@@ -240,3 +326,104 @@ def test_check_finishes_on_worst_shapes_at_the_carrier_cap(capsys, tmp_path, sha
     assert props["sober"]["details"]["irreducible_closed_count"] == 16
     assert props["kbsober"]["details"]["irreducible_closed_count"] == 16
     assert props["owf"]["details"]["opens_count"] == opens
+
+
+# ----- argv fuzz: the exit-code contract -----
+
+_FUZZ_FILES = {
+    "s2.space": SIGMA2,
+    "c3.space": CHAIN3,
+    "cycle.space": "space Z\npoints a b\nle a b\nle b a\n",
+    "two.space": "space A\npoints x y\n\nspace B\npoints z\n",
+}
+_PREFIX = {2: "error: ", 3: "cap exceeded: ", 64: "usage error: "}
+
+
+def _argv_strategy(directory: str):
+    """A command line of one subcommand with its own options, mostly valid
+    values; in two draws of five, one stray word is appended or one word
+    dropped."""
+    good = [os.path.join(directory, name) for name in ["s2.space", "c3.space"]]
+    odd = [os.path.join(directory, name) for name in ["cycle.space", "two.space", "missing.space"]]
+    path = st.sampled_from(good * 4 + odd + [directory, "", "nul\x00.space"])
+    term = st.builds(str.__add__, st.sampled_from(["", "!", "!!"]), st.sampled_from(list(PROPERTIES)))
+    where = st.one_of(
+        st.lists(st.tuples(st.sampled_from(["&", "|"]), term), min_size=1, max_size=4).map(
+            lambda pairs: " ".join(f"{op} {t}" for op, t in pairs)[2:]),
+        st.lists(st.sampled_from([*PROPERTIES, "shiny", "!", "&", "|", "(", ")", "#"]),
+                 max_size=6).map(" ".join),
+        st.builds(lambda d, e: "(" * d + e + ")" * d,
+                  st.integers(0, 2 * WHERE_DEPTH), st.sampled_from(["sober", "!t1 | owf", "owf &"])),
+    )
+    options = {
+        "--format": st.sampled_from(["text", "json"] * 2 + ["yaml"]),
+        "--property": st.sampled_from([*PROPERTIES, "all", "co_sober"]),
+        "--points": st.one_of(st.sampled_from(["a", "a,b", "b", "p,r", "q", "p,q,r", "zz", ""]),
+                              st.text(alphabet="abpqz, ", max_size=5)),
+        "--route": st.sampled_from(["irr", "bclosure"] * 2 + ["both"]),
+        "--class": st.sampled_from([*sorted(REGISTRY), "nope"]),
+        "--bound": st.sampled_from(["1", "2", "3"] * 2 + ["0", "-3", "257", "x"]),
+        "--size": st.sampled_from(["1", "2", "3", "4"] * 2 + ["0", "-1", "7", "x"]),
+        "--where": where,
+    }
+
+    def opt(flag, required=False):
+        pair = options[flag].map(lambda value: [flag, value])
+        return pair if required else st.one_of(st.just([]), pair)
+
+    def command(*words):
+        return st.tuples(*(st.just([w]) if isinstance(w, str) else w for w in words)).map(
+            lambda parts: [w for part in parts for w in part])
+
+    one = path.map(lambda p: [p])
+    commands = st.one_of(
+        command("check", one, opt("--property"), opt("--format")),
+        command("construct", "product", one, one, opt("--format")),
+        command("construct", "subspace", one, opt("--points", True), opt("--format")),
+        command("construct", "sobrify", one, opt("--route"), opt("--format")),
+        command("construct", "bclosure", one, opt("--points", True), opt("--format")),
+        command("construct", "reflect", one, opt("--class", True), opt("--format")),
+        command("corpus", "run", opt("--bound"), opt("--format")),
+        command("enumerate", opt("--size", True), opt("--where"), opt("--format")),
+        command("export", one, "--dot"),
+    )
+    stray = st.one_of(*(opt(flag, True) for flag in options), one, st.just(["--help"]),
+                      st.sampled_from([["--nope"], ["--dot"], ["bogus"]]))
+
+    def mutate(argv, how, extra, drop):
+        if how == "stray":
+            return argv + extra
+        if how == "drop":
+            return argv[:drop % len(argv)] + argv[drop % len(argv) + 1:]
+        return argv
+
+    return st.builds(mutate, commands, st.sampled_from(["keep"] * 3 + ["stray", "drop"]),
+                     stray, st.integers(0, 7))
+
+
+def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path):
+    for name, text in _FUZZ_FILES.items():
+        (tmp_path / name).write_text(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_argv_strategy(str(tmp_path)))
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # --help prints and exits 0
+            assert exc.code == 0 and "--help" in argv, argv
+            return
+        assert code in {0, 1, 2, 3, 64}, argv
+        if code in _PREFIX:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith(_PREFIX[code]), argv
+            assert err.getvalue().count("\n") == 1, argv
+        else:
+            assert out.getvalue() and err.getvalue() == "", argv
+            formats = [argv[i + 1] for i, w in enumerate(argv[:-1]) if w == "--format"]
+            if formats and formats[-1] == "json":
+                json.loads(out.getvalue())
+
+    run()

@@ -7,6 +7,7 @@ here are checked both monotone and preimage-continuous."""
 import pytest
 from oracles import is_preimage_continuous, walked
 
+from t0kit import constructions
 from t0kit.b_topology import is_b_closed
 from t0kit.constructions import (
     canonical_embedding,
@@ -28,7 +29,7 @@ from t0kit.constructions import (
     space_map,
     subspace,
 )
-from t0kit.errors import EmptyCarrier, MismatchedSpaces, NotContinuous
+from t0kit.errors import CapExceeded, EmptyCarrier, MismatchedSpaces, NotContinuous
 from t0kit.finite_space import (
     antichain,
     chain,
@@ -107,6 +108,16 @@ def test_product_index_and_coords_reject_out_of_range_values():
         with pytest.raises(MismatchedSpaces):
             prod.coords(index)
     assert prod.index((1, 0)) == 3 and prod.coords(5) == (1, 2)
+
+
+def test_refused_product_builds_no_mask(monkeypatch):
+    # 13 Sierpinski factors fold to 8192 points; the refusal comes before
+    # the 4096-point step under it is built
+    planted = []
+    monkeypatch.setattr(constructions, "_plant", lambda *args: planted.append(args))
+    with pytest.raises(CapExceeded, match="^product carrier size: 8192 exceeds cap 4096$"):
+        product([sigma2()] * 13)
+    assert planted == []
 
 
 def test_empty_product_is_point():

@@ -119,6 +119,8 @@ def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
     new up/down masks are the old ones intersected with the carrier."""
     if carrier == 0:
         raise EmptyCarrier("subspace carrier is empty")
+    if carrier & ~space.full:
+        raise MismatchedSpaces(f"carrier {carrier:#x} has points outside a space of {space.n} points")
     pts = points_of(carrier)
     pos = {p: i for i, p in enumerate(pts)}
 

@@ -34,7 +34,7 @@ from .constructions import (
     subspace,
 )
 from .enumeration import continuous_maps_list, relabel_space, spaces_up_to
-from .errors import BadParams, EmptyCarrier
+from .errors import BadParams, EmptyCarrier, MismatchedSpaces
 from .finite_space import (
     FiniteSpace,
     PointSet,
@@ -140,6 +140,8 @@ def k_closure(ambient: FiniteSpace, a: PointSet, predicate: ClassPredicate) -> P
     empty family is the whole ambient carrier."""
     if a == 0:
         raise EmptyCarrier("k-closure of the empty set is not defined here")
+    if a & ~ambient.full:
+        raise MismatchedSpaces(f"point set {a:#x} has points outside a space of {ambient.n} points")
     out = ambient.full
     for b in range(ambient.full + 1):
         if is_subset(a, b) and b != 0 and predicate(subspace(ambient, b).space):
@@ -328,6 +330,7 @@ def check_K_conditions(predicate: ClassPredicate, n_max: int = 3) -> dict[str, P
         stay members (empty intersections exempt, counted).
     K4: preimages of member subspaces under continuous maps are members
         (empty preimages exempt, counted)."""
+    _check_bounds(n_max=n_max)
     spaces = list(spaces_up_to(n_max))
     carriers = [_member_carriers(z, predicate) for z in spaces]
 
@@ -382,6 +385,7 @@ def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[
     productive (binary products), b-closed-hereditary, has equalizers
     (the subspace equalizer of member-valued parallel pairs is a member;
     empty equalizers exempt, counted)."""
+    _check_bounds(n_max=n_max)
     members = [z for z in spaces_up_to(n_max) if predicate(z)]
 
     def productive():

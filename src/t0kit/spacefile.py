@@ -28,17 +28,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .constructions import SpaceMap, space_map
-from .errors import (
-    NotAPartialOrder,
-    NotContinuous,
-    NotT0,
-    ParseError,
-)
-from .finite_space import FiniteSpace, from_cover, from_opens
+from .errors import NotAPartialOrder, NotContinuous, NotT0, ParseError
+from .finite_space import FiniteSpace, from_cover, from_opens, mask_of
 from .report import cover_pairs
 
+_WORD = re.compile(r"\S+")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _MAP_HEADER = re.compile(
     r"^map\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*"
@@ -78,27 +75,13 @@ class Document:
 
 
 class _SpaceBlock:
+    kind = "space"
+
     def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
+        self.name, self.line = name, line
         self.points: list[str] | None = None
         self.mode: str | None = None  # "le" or "open" once seen
-        self.le_pairs: list[tuple[int, int]] = []
-        self.opens: list[int] = []
-
-    def require_points(self, line: int) -> list[str]:
-        if self.points is None:
-            raise ParseError(
-                f"space {self.name} needs a points line first", line, 1
-            )
-        return self.points
-
-    def set_mode(self, mode: str, line: int) -> None:
-        if self.mode not in (None, mode):
-            raise ParseError(
-                f"space {self.name} mixes le and open lines", line, 1
-            )
-        self.mode = mode
+        self.rows: list[list[int]] = []  # point indices, one list per line
 
     def build(self) -> SpaceDoc:
         if self.points is None:
@@ -106,60 +89,53 @@ class _SpaceBlock:
         n = len(self.points)
         try:
             if self.mode == "open":
-                space = from_opens(n, self.opens)
+                space = from_opens(n, map(mask_of, self.rows))
             else:
-                space = from_cover(n, self.le_pairs)
-        except NotT0 as exc:
-            raise NotT0(f"space {self.name} (line {self.line}): {exc}") from None
-        except NotAPartialOrder as exc:
-            raise NotAPartialOrder(
-                f"space {self.name} (line {self.line}): {exc}"
-            ) from None
+                space = from_cover(n, self.rows)
+        except (NotT0, NotAPartialOrder) as exc:
+            raise type(exc)(f"space {self.name} (line {self.line}): {exc}") from None
         return SpaceDoc(self.name, tuple(self.points), space, self.line)
 
 
 class _MapBlock:
+    kind = "map"
+
     def __init__(self, name: str, src: SpaceDoc, dst: SpaceDoc, line: int):
-        self.name = name
-        self.src = src
-        self.dst = dst
-        self.line = line
+        self.name, self.src, self.dst, self.line = name, src, dst, line
         self.sent: dict[int, int] = {}
 
     def build(self) -> MapDoc:
-        missing = [
-            p for i, p in enumerate(self.src.point_names) if i not in self.sent
-        ]
+        missing = [p for i, p in enumerate(self.src.point_names) if i not in self.sent]
         if missing:
-            raise ParseError(
-                f"map {self.name} never sends {', '.join(missing)}", self.line, 1
-            )
+            raise ParseError(f"map {self.name} never sends {', '.join(missing)}", self.line, 1)
         table = tuple(self.sent[i] for i in range(self.src.space.n))
         try:
             f = space_map(self.src.space, self.dst.space, table)
         except NotContinuous as exc:
-            raise NotContinuous(
-                f"map {self.name} (line {self.line}): {exc}"
-            ) from None
+            raise NotContinuous(f"map {self.name} (line {self.line}): {exc}") from None
         return MapDoc(self.name, self.src.name, self.dst.name, f, self.line)
 
 
-def _token_col(raw: str, index: int) -> int:
-    """1-based column of the index-th whitespace token."""
-    col = 1
-    seen = -1
-    for m in re.finditer(r"\S+", raw):
-        seen += 1
-        if seen == index:
-            col = m.start() + 1
-            break
-    return col
+# The block each directive must sit in; `space` and `map` open blocks.
+_BLOCK = {"points": "space", "le": "space", "open": "space", "send": "map"}
+
+_Token = tuple[str, int]  # a word and its 1-based column
 
 
-def _check_name(word: str, what: str, line: int, col: int) -> str:
+def _check_name(token: _Token, what: str, line: int) -> str:
+    word, col = token
     if not _NAME.match(word):
         raise ParseError(f"bad {what} name {word!r}", line, col)
     return word
+
+
+def _index(names: Sequence[str], token: _Token, message: str, line: int) -> int:
+    """Position of the token's word in names; message formats the miss."""
+    word, col = token
+    try:
+        return names.index(word)
+    except ValueError:
+        raise ParseError(message.format(word), line, col) from None
 
 
 def parse_document(text: str) -> Document:
@@ -168,112 +144,78 @@ def parse_document(text: str) -> Document:
     block: _SpaceBlock | _MapBlock | None = None
 
     def flush():
-        nonlocal block
         if isinstance(block, _SpaceBlock):
             doc = block.build()
             spaces[doc.name] = doc
         elif isinstance(block, _MapBlock):
             maps.append(block.build())
-        block = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0]
-        words = content.split()
-        if not words:
+        tokens = [(m.group(), m.start() + 1) for m in _WORD.finditer(content)]
+        if not tokens:
             continue
-        head, args = words[0], words[1:]
+        head, args = tokens[0][0], tokens[1:]
+        kind = _BLOCK.get(head)
+        if kind is not None and getattr(block, "kind", None) != kind:
+            raise ParseError(f"{head} outside a {kind} block", lineno, 1)
 
         if head == "space":
             if len(args) != 1:
                 raise ParseError("space takes exactly one name", lineno, 1)
-            name = _check_name(args[0], "space", lineno, _token_col(content, 1))
+            name = _check_name(args[0], "space", lineno)
             flush()
             if name in spaces:
                 raise ParseError(f"duplicate space {name}", lineno, 1)
             block = _SpaceBlock(name, lineno)
         elif head == "points":
-            if not isinstance(block, _SpaceBlock):
-                raise ParseError("points outside a space block", lineno, 1)
             if block.points is not None:
-                raise ParseError(
-                    f"space {block.name} lists points twice", lineno, 1
-                )
+                raise ParseError(f"space {block.name} lists points twice", lineno, 1)
             if not args:
                 raise ParseError("points line needs at least one name", lineno, 1)
             seen: list[str] = []
-            for i, w in enumerate(args):
-                col = _token_col(content, i + 1)
-                _check_name(w, "point", lineno, col)
-                if w in seen:
-                    raise ParseError(f"duplicate point {w}", lineno, col)
-                seen.append(w)
+            for token in args:
+                word = _check_name(token, "point", lineno)
+                if word in seen:
+                    raise ParseError(f"duplicate point {word}", lineno, token[1])
+                seen.append(word)
             block.points = seen
-        elif head == "le":
-            if not isinstance(block, _SpaceBlock):
-                raise ParseError("le outside a space block", lineno, 1)
-            pts = block.require_points(lineno)
-            block.set_mode("le", lineno)
-            if len(args) != 2:
+        elif head in ("le", "open"):
+            if block.points is None:
+                raise ParseError(f"space {block.name} needs a points line first", lineno, 1)
+            if block.mode not in (None, head):
+                raise ParseError(f"space {block.name} mixes le and open lines", lineno, 1)
+            block.mode = head
+            if head == "le" and len(args) != 2:
                 raise ParseError("le takes exactly two points", lineno, 1)
-            pair = []
-            for i, w in enumerate(args):
-                col = _token_col(content, i + 1)
-                if w not in pts:
-                    raise ParseError(f"undeclared point {w}", lineno, col)
-                pair.append(pts.index(w))
-            block.le_pairs.append((pair[0], pair[1]))
-        elif head == "open":
-            if not isinstance(block, _SpaceBlock):
-                raise ParseError("open outside a space block", lineno, 1)
-            pts = block.require_points(lineno)
-            block.set_mode("open", lineno)
             if not args:
-                raise ParseError(
-                    "empty open is implicit; open lines need points", lineno, 1
-                )
-            mask = 0
-            for i, w in enumerate(args):
-                col = _token_col(content, i + 1)
-                if w not in pts:
-                    raise ParseError(f"undeclared point {w}", lineno, col)
-                mask |= 1 << pts.index(w)
-            block.opens.append(mask)
+                raise ParseError("empty open is implicit; open lines need points", lineno, 1)
+            block.rows.append(
+                [_index(block.points, t, "undeclared point {}", lineno) for t in args]
+            )
         elif head == "map":
             m = _MAP_HEADER.match(content.strip())
             if not m:
                 raise ParseError("map header is `map f : A -> B`", lineno, 1)
             flush()
-            fname, src, dst = m.group(1), m.group(2), m.group(3)
+            fname, src, dst = m.groups()
             for which in (src, dst):
                 if which not in spaces:
                     raise ParseError(
-                        f"map {fname} references undeclared space {which}",
-                        lineno, 1,
+                        f"map {fname} references undeclared space {which}", lineno, 1
                     )
-            maps_seen = {d.name for d in maps}
-            if fname in maps_seen:
+            if any(d.name == fname for d in maps):
                 raise ParseError(f"duplicate map {fname}", lineno, 1)
             block = _MapBlock(fname, spaces[src], spaces[dst], lineno)
         elif head == "send":
-            if not isinstance(block, _MapBlock):
-                raise ParseError("send outside a map block", lineno, 1)
             if len(args) != 2:
                 raise ParseError("send takes exactly two points", lineno, 1)
-            a, x = args
-            if a not in block.src.point_names:
-                raise ParseError(
-                    f"{a} is not a point of {block.src.name}",
-                    lineno, _token_col(content, 1),
-                )
-            if x not in block.dst.point_names:
-                raise ParseError(
-                    f"{x} is not a point of {block.dst.name}",
-                    lineno, _token_col(content, 2),
-                )
-            i = block.src.index(a)
+            src, dst = block.src, block.dst
+            i = _index(src.point_names, args[0], "{} is not a point of " + src.name, lineno)
+            x = _index(dst.point_names, args[1], "{} is not a point of " + dst.name, lineno)
             if i in block.sent:
-                raise ParseError(f"{a} is sent twice", lineno, 1)
-            block.sent[i] = block.dst.index(x)
+                raise ParseError(f"{args[0][0]} is sent twice", lineno, 1)
+            block.sent[i] = x
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, 1)
 

@@ -339,6 +339,31 @@ _FUZZ_FILES = {
 _PREFIX = {2: "error: ", 3: "cap exceeded: ", 64: "usage error: "}
 
 
+def _assert_exit_contract(argv: list[str]) -> tuple[int, str] | None:
+    """Run main in process and check the exit-code contract: a code in
+    {0, 1, 2, 3, 64}, one prefixed stderr line and no stdout for 2, 3 and
+    64, a report (valid JSON under --format json) for 0 and 1.  Returns
+    the code and stderr, or None after --help."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # --help prints and exits 0
+        assert exc.code == 0 and "--help" in argv, argv
+        return None
+    assert code in {0, 1, 2, 3, 64}, argv
+    if code in _PREFIX:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith(_PREFIX[code]), argv
+        assert err.getvalue().count("\n") == 1, argv
+    else:
+        assert out.getvalue() and err.getvalue() == "", argv
+        formats = [argv[i + 1] for i, w in enumerate(argv[:-1]) if w == "--format"]
+        if formats and formats[-1] == "json":
+            json.loads(out.getvalue())
+    return code, err.getvalue()
+
+
 def _argv_strategy(directory: str):
     """A command line of one subcommand with its own options, mostly valid
     values; in two draws of five, one stray word is appended or one word
@@ -408,22 +433,103 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path):
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_argv_strategy(str(tmp_path)))
     def run(argv):
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        except SystemExit as exc:  # --help prints and exits 0
-            assert exc.code == 0 and "--help" in argv, argv
-            return
-        assert code in {0, 1, 2, 3, 64}, argv
-        if code in _PREFIX:
-            assert out.getvalue() == "", argv
-            assert err.getvalue().startswith(_PREFIX[code]), argv
-            assert err.getvalue().count("\n") == 1, argv
+        _assert_exit_contract(argv)
+
+    run()
+
+
+# ----- document fuzz: .space files under the same contract -----
+
+_DOC_POINTS = ["a", "b", "c", "d", "e"]
+_DOC_WORDS = [*_DOC_POINTS, "z", "S", "T", "9x", "b-c", "space", "points", "le", "open",
+              "map", "send", ":", "->", "#"]
+_BIG = "space Big\npoints " + " ".join(f"x{i}" for i in range(17)) + "\nle x0 x1\n"
+
+
+@st.composite
+def _space_block(draw, name):
+    """A space of at most five points given by le lines (acyclic unless a
+    cycle is drawn) or by open lines."""
+    pts = draw(st.permutations(_DOC_POINTS))[:draw(st.sampled_from([3, 4, 5, 2, 1]))]
+    index = st.integers(0, len(pts) - 1)
+    lines = [f"space {name}", "points " + " ".join(pts)]
+    if draw(st.booleans()):
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=6)):
+            lines.append(f"le {pts[min(i, j)]} {pts[max(i, j)]}")
+        if len(pts) > 1 and draw(st.sampled_from([False] * 4 + [True])):
+            lines += [f"le {pts[0]} {pts[-1]}", f"le {pts[-1]} {pts[0]}"]
+    else:
+        opens = draw(st.lists(st.sets(index, min_size=1), max_size=4))
+        if draw(st.sampled_from([True] * 3 + [False])):  # suffixes of pts separate points
+            opens += [set(range(i, len(pts))) for i in range(1, len(pts))]
+        lines += ["open " + " ".join(pts[i] for i in sorted(members)) for members in opens]
+    return lines, pts
+
+
+@st.composite
+def _document(draw):
+    """One or two space blocks and maybe a map block, then in two draws of
+    five one or two token mutations: a word replaced or dropped, or a line
+    repeated."""
+    first, src = draw(_space_block("S"))
+    second, dst = draw(_space_block(draw(st.sampled_from(["T", "T", "T", "S"]))))
+    lines = first + (second if draw(st.sampled_from([True] * 3 + [False])) else [])
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(["T", "T", "T", "U"]))
+        constant = st.sampled_from(dst).map(lambda x: [x] * len(src))  # always continuous
+        sends = draw(st.one_of(constant, st.lists(
+            st.sampled_from(dst), min_size=len(src), max_size=len(src))))
+        lines.append(f"map f : S -> {target}")
+        lines += [f"send {a} {x}" for a, x in zip(src, sends)]
+    mutation = st.tuples(st.sampled_from(["replace", "drop", "repeat"]), st.integers(0, 99),
+                         st.sampled_from(_DOC_WORDS))
+    for how, at, word in draw(st.sampled_from([0, 0, 0, 1, 2]).flatmap(
+            lambda k: st.lists(mutation, min_size=k, max_size=k))):
+        i = at % len(lines)
+        words = lines[i].split()
+        if how == "repeat":
+            lines.insert(i, lines[i])
+        elif how == "replace":
+            words[at % len(words)] = word
+            lines[i] = " ".join(words)
         else:
-            assert out.getvalue() and err.getvalue() == "", argv
-            formats = [argv[i + 1] for i, w in enumerate(argv[:-1]) if w == "--format"]
-            if formats and formats[-1] == "json":
-                json.loads(out.getvalue())
+            del words[at % len(words)]
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def _doc_commands(path: str, other: str):
+    fmt = st.sampled_from([[], ["--format", "json"], ["--format", "text"]])
+    points = st.lists(st.sampled_from([*_DOC_POINTS, "z"]), min_size=1, max_size=3).map(",".join)
+    commands = st.one_of(
+        st.sampled_from(["sober", "strongd", "owf", "t1", "all"]).map(
+            lambda p: ["check", path, "--property", p]),
+        st.just(["export", path, "--dot"]),
+        st.sampled_from(["irr", "bclosure"]).map(
+            lambda r: ["construct", "sobrify", path, "--route", r]),
+        st.tuples(st.sampled_from(["subspace", "bclosure"]), points).map(
+            lambda c: ["construct", c[0], path, "--points", c[1]]),
+        st.permutations([path, other]).map(lambda files: ["construct", "product", *files]),
+        st.sampled_from(sorted(REGISTRY)).map(
+            lambda c: ["construct", "reflect", path, "--class", c]),
+    )
+    return st.builds(lambda argv, f: argv + (f if argv[0] != "export" else []), commands, fmt)
+
+
+def test_document_fuzz_keeps_the_exit_code_contract(tmp_path):
+    path, other = tmp_path / "doc.space", tmp_path / "s2.space"
+    other.write_text(SIGMA2)
+    docs = st.one_of(_document(), _document(), st.just(_BIG), st.binary(max_size=40))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(docs, _doc_commands(str(path), str(other)))
+    def run(doc, argv):
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc)
+        code, err = _assert_exit_contract(argv)
+        if doc == _BIG:  # refused while parsing, before any checker runs
+            assert (code, err) == (3, "cap exceeded: carrier size: 17 exceeds cap 16\n"), argv
 
     run()

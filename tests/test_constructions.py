@@ -85,6 +85,12 @@ def test_subspace_of_chain():
         subspace(chain(4), 0)
 
 
+@pytest.mark.parametrize("carrier", [0b1000, 0b1001, -1])
+def test_subspace_refuses_points_outside_the_space(carrier):
+    with pytest.raises(MismatchedSpaces, match="has points outside a space of 3 points"):
+        subspace(chain(3), carrier)
+
+
 def test_product_against_literal_oracle():
     # index, coords, up and down of [sigma2, chain(3)], [v_poset, antichain(2),
     # chain(3)], [v_poset] and [sigma2] * 4, and more

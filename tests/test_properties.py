@@ -18,6 +18,7 @@ from t0kit.finite_space import (
     all_opens,
     antichain,
     chain,
+    is_directed,
     sigma2,
     v_poset,
 )
@@ -189,6 +190,15 @@ def test_strong_d_refuses_an_undirected_principal_ideal():
     # up and down disagree: down[0] claims 1 <= 0, up[1] does not
     broken = FiniteSpace(2, (0b01, 0b10), (0b11, 0b10))
     with pytest.raises(NotAPartialOrder):
+        is_strong_d(broken)
+
+
+def test_strong_d_refuses_up_sets_without_a_least_member():
+    # every down[m] passes is_directed, but up[2] = {0, 1, 2} is not inside
+    # up[0] or up[1], so the up-sets over down[2] have no least member
+    broken = FiniteSpace(3, (0b101, 0b110, 0b111), (0b001, 0b010, 0b111))
+    assert all(is_directed(broken, d) for d in broken.down)
+    with pytest.raises(NotAPartialOrder, match="down-set of point 2 has no least up-set"):
         is_strong_d(broken)
 
 

@@ -11,7 +11,7 @@ from oracles import extension_outcome, walked
 
 from t0kit.constructions import find_homeomorphism, is_monotone, space_map
 from t0kit.enumeration import all_spaces, spaces_up_to
-from t0kit.errors import BadParams, CapExceeded, EmptyCarrier
+from t0kit.errors import BadParams, CapExceeded, EmptyCarrier, MismatchedSpaces
 from t0kit.finite_space import (
     all_opens,
     antichain,
@@ -87,6 +87,13 @@ def test_k_closure_sober_is_identity_on_carriers():
         k_closure(z, 0, SOBER)
 
 
+def test_k_closure_refuses_points_outside_the_ambient():
+    # the loop only visits carriers inside the ambient, so 0b1001 would
+    # come back as the whole carrier 0b111
+    with pytest.raises(MismatchedSpaces, match="0x9 has points outside a space of 3 points"):
+        k_closure(chain(3), 0b1001, SOBER)
+
+
 def test_k_closure_grows_to_class_members():
     z = chain(3)
     pred = REGISTRY["at_most_two_points"]
@@ -138,6 +145,14 @@ def test_reflection_bounds_below_one_are_refused(bad):
         construct_reflection(antichain(3), two, target_bound=2, test_bound=bad)
     with pytest.raises(BadParams):
         construct_reflection(antichain(3), two, target_bound=bad, test_bound=2)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("sweep", [check_K_conditions, check_closure_properties])
+def test_sweep_bounds_below_one_are_refused(sweep, bad):
+    # at bound 0 no space is swept, so every report would hold vacuously
+    with pytest.raises(BadParams, match="n_max must be at least 1"):
+        sweep(SOBER, n_max=bad)
 
 
 def test_is_reflection_matches_the_literal_scan():

@@ -169,6 +169,21 @@ def test_corpus_text_summary(capsys):
     assert "witness:" in out  # refutations print their certificates
 
 
+CORPUS_GOLDEN = Path(__file__).resolve().parent / "corpus_golden.json"
+
+
+def test_corpus_run_json_matches_golden_bytes(capsys, monkeypatch):
+    # Every byte of `corpus run --bound 30 --format json` except the
+    # timings: the "seconds" lines are dropped (each ends in a comma, so
+    # the rest is still JSON). A change to the golden is a report change.
+    monkeypatch.delenv("T0KIT_CAP", raising=False)
+    assert main(["corpus", "run", "--bound", "30", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.lstrip().startswith('"seconds": ')]
+    assert "".join(kept) == CORPUS_GOLDEN.read_text()
+
+
 def test_enumerate_where_filter(capsys):
     code, tree = run_json(capsys, ["enumerate", "--size", "3", "--where", "!t1"])
     assert code == 0

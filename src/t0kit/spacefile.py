@@ -119,10 +119,10 @@ class _MapBlock:
 # The block each directive must sit in; `space` and `map` open blocks.
 _BLOCK = {"points": "space", "le": "space", "open": "space", "send": "map"}
 
-_Token = tuple[str, int]  # a word and its 1-based column
+_Token = tuple[str, int | None]  # a word and its 1-based column, if in a document
 
 
-def _check_name(token: _Token, what: str, line: int) -> str:
+def _check_name(token: _Token, what: str, line: int | None) -> str:
     word, col = token
     if not _NAME.match(word):
         raise ParseError(f"bad {what} name {word!r}", line, col)
@@ -237,13 +237,23 @@ def parse_space(text: str) -> SpaceDoc:
 def print_space(name: str, space: FiniteSpace,
                 point_names: list[str] | None = None,
                 comments: list[str] | None = None) -> str:
-    """Canonical text for one space: points plus covering-pair le lines."""
+    """Canonical text for one space: points plus covering-pair le lines.
+
+    Raises ParseError for any name or comment the parser would refuse or
+    read back differently, so parse_space(print_space(...)) round-trips."""
     names = list(point_names) if point_names is not None else [
         f"x{i}" for i in range(space.n)
     ]
+    _check_name((name, None), "space", None)
     if len(names) != space.n or len(set(names)) != space.n:
         raise ParseError(f"need {space.n} distinct point names")
-    lines = [f"# {c}" for c in (comments or [])]
+    for word in names:
+        _check_name((word, None), "point", None)
+    comments = comments or []
+    for c in comments:
+        if "".join(c.splitlines()) != c:
+            raise ParseError(f"comment {c!r} spans lines")
+    lines = [f"# {c}" for c in comments]
     lines.append(f"space {name}")
     lines.append("points " + " ".join(names))
     for x, y in sorted(cover_pairs(space)):

@@ -20,6 +20,7 @@ Two facts carry all the weight here and are stated once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Iterable
 
 from .. import caps
@@ -124,6 +125,9 @@ class IndexedFamily:
     exactly: "initial_segment_complements" promises member(k) is the
     complement of {1..k}; "constant" promises all members are equal.
     Anything else is treated as opaque and only checked up to a bound.
+    check_owf_refutation spot-checks a promise on the sample before it
+    relies on it and raises BadParams if it is broken; past the sample
+    the shape is trusted.
     """
 
     name: str
@@ -203,11 +207,17 @@ def check_owf_refutation(
 
     The certificate is a way-below-filtered family F of opens and an
     open u.  The condition says: if the intersection of F lands inside
-    u then some member already does.  Returns Refuted exactly when the
-    algebra proves the intersection is inside u while no member is;
-    returns Holds when a member lands inside u (no refutation); raises
-    BadParams when the family fails its own side conditions.  The bound
-    follows caps.check_bound.
+    u then some member already does.  BadParams unless the sampled
+    members are open (a) and way-below-filtered (b); Holds if one lies
+    inside u (c).  Past (c) they are nonempty and cofinite, and one
+    table decides, each row after a spot check of the shape's promise:
+
+        initial segments, u cofinite          Holds
+        initial segments, u finite or empty   Refuted
+        constant, u finite or empty           Holds
+        anything else                         HoldsUpTo(bound)
+
+    The bound follows caps.check_bound.
     """
     caps.check_bound(bound, "the sample bound")
     claim = f"open well-filtered condition for {family.name}"
@@ -221,25 +231,21 @@ def check_owf_refutation(
 
     # (b) way-below-filtered: a selector member below each sampled pair
     selectors: dict[tuple[int, int], int] = {}
-    probe = family.members(2 * bound)
-    probe_idx = list(range(family.start, family.start + 2 * bound))
+    probe = list(zip(range(family.start, family.start + 2 * bound),
+                     family.members(2 * bound)))
     for i in range(bound):
         for j in range(i, bound):
             meet = sample[i] & sample[j]
-            found = None
-            for k, m in zip(probe_idx, probe):
-                if space.way_below(m, meet):
-                    found = k
-                    break
+            found = next((k for k, m in probe if space.way_below(m, meet)), None)
             if found is None:
                 raise BadParams(
                     f"{family.name} is not way-below-filtered at the pair "
-                    f"({indices[i]}, {indices[j]}) within index bound {probe_idx[-1]}"
+                    f"({indices[i]}, {indices[j]}) within index bound {probe[-1][0]}"
                 )
             selectors[(indices[i], indices[j])] = found
 
-    # (d) first: does some member land inside u?  Then the condition
-    # holds for this certificate, exactly.
+    # (c) does some member land inside u?  Then the condition holds for
+    # this certificate, exactly.
     for k, m in zip(indices, sample):
         if m <= u:
             return holds(
@@ -251,85 +257,63 @@ def check_owf_refutation(
                     "u": repr(u),
                 },
             )
-    member_inside_possible = None
+
+    # Every sampled member is open and not inside u, so it is nonempty
+    # (the empty set is inside every u) and hence cofinite.
     if family.shape == "initial_segment_complements" and u.cofinite:
         # support grows through every initial segment, so the member
         # indexed by max(excluded points of u) is inside u
         k0 = max(u.support, default=0) or 1
-        m0 = family.member(k0)
-        if m0 <= u:
-            return holds(
-                claim,
-                "exact-cofinite-algebra",
-                details={"containing_member_index": k0, "u": repr(u)},
-            )
-        member_inside_possible = False
-    if u.is_empty:
-        # a member inside the empty set must be empty; cofinite members
-        # never are, so the sampled emptiness checks are conclusive
-        if all(not m.is_empty for m in sample):
-            member_inside_possible = False
-    if not u.cofinite and not u.is_empty:
-        # finite nonempty u cannot contain a cofinite member; a finite
-        # member inside u would have been caught in the sampled scan
-        if all(m.cofinite for m in sample):
-            member_inside_possible = False
-
-    # (c) the intersection: partial intersections only shrink, so a
-    # partial result inside u is conclusive
-    partial = sample[0]
-    for m in sample[1:]:
-        partial = partial & m
-    intersection_inside = None
-    if partial <= u:
-        intersection_inside = True
-        intersection_note = f"partial intersection of {bound} members is inside u"
-    elif family.shape == "initial_segment_complements":
-        # every point x is excluded by member x: x sits in the initial
-        # segment {1..x}, so the full intersection is empty
-        witnessed = all(x not in family.member(x) for x in range(1, bound + 1))
-        if witnessed:
-            intersection_inside = True
-            intersection_note = (
-                "every point x is outside member x (initial segment {1..x} "
-                "contains x), so the full intersection is empty"
-            )
-    elif family.shape == "constant":
-        intersection_inside = sample[0] <= u
-        intersection_note = "constant family: intersection equals the member"
-
-    if intersection_inside is None or member_inside_possible is None:
-        return holds_up_to(
+        if not family.member(k0) <= u:
+            raise BadParams(f"{family.name} breaks its shape: member {k0} is not inside u")
+        return holds(
             claim,
-            bound,
-            "bounded-scan",
-            details={
-                "reason": "family shape is opaque; only sampled checks ran",
-                "partial_intersection": repr(partial),
-            },
+            "exact-cofinite-algebra",
+            details={"containing_member_index": k0, "u": repr(u)},
         )
-    if not intersection_inside:
+    if family.shape == "initial_segment_complements":
+        # every point x is excluded by member x: x sits in the initial
+        # segment {1..x}, so the full intersection is empty, while a
+        # finite or empty u holds no cofinite member
+        x = next((x for x in range(1, bound + 1) if x in family.member(x)), None)
+        if x is not None:
+            raise BadParams(f"{family.name} breaks its shape: point {x} is in member {x}")
+        return refuted(
+            claim,
+            "exact-cofinite-algebra",
+            witness={
+                "family": family.name,
+                "family_members_sampled": [repr(m) for m in sample[:6]],
+                "filtered_selectors_sampled": {
+                    f"{i},{j}": k for (i, j), k in list(selectors.items())[:6]
+                },
+                "intersection": "every point x is outside member x (initial "
+                "segment {1..x} contains x), so the full intersection is empty",
+                "u": repr(u),
+                "no_member_inside": "members are cofinite, hence nonempty, "
+                "hence never inside the empty set" if u.is_empty else "sampled",
+            },
+            details={"sample_bound": bound},
+        )
+    if family.shape == "constant" and not u.cofinite:
+        # the intersection is the member itself, which (c) found not
+        # inside u
+        k = next((k for k, m in zip(indices, sample) if m != sample[0]), None)
+        if k is not None:
+            raise BadParams(f"{family.name} breaks its shape: member {k} differs from the first")
         return holds(
             claim,
             "exact-cofinite-algebra",
             details={"reason": "intersection is not inside u", "u": repr(u)},
         )
-
-    return refuted(
+    return holds_up_to(
         claim,
-        "exact-cofinite-algebra",
-        witness={
-            "family": family.name,
-            "family_members_sampled": [repr(m) for m in sample[:6]],
-            "filtered_selectors_sampled": {
-                f"{i},{j}": k for (i, j), k in list(selectors.items())[:6]
-            },
-            "intersection": intersection_note,
-            "u": repr(u),
-            "no_member_inside": "members are cofinite, hence nonempty, "
-            "hence never inside the empty set" if u.is_empty else "sampled",
+        bound,
+        "bounded-scan",
+        details={
+            "reason": "family shape is opaque; only sampled checks ran",
+            "partial_intersection": repr(reduce(CofiniteSet.__and__, sample)),
         },
-        details={"sample_bound": bound},
     )
 
 

@@ -133,7 +133,7 @@ class JohnstoneOpen:
                 continue
             if other.height(m) > self.height(m):
                 return False
-        return _ev_leq(other.ev_kind, other.ev_val, self.ev_kind, self.ev_val)
+        return _ev_key(other.ev_kind, other.ev_val) <= _ev_key(self.ev_kind, self.ev_val)
 
     def __and__(self, other: "JohnstoneOpen") -> "JohnstoneOpen":
         if self.empty or other.empty:
@@ -146,7 +146,8 @@ class JohnstoneOpen:
             for m in range(1, hor + 1)
             if m not in tops
         }
-        ev = _ev_combine(self.ev_kind, self.ev_val, other.ev_kind, other.ev_val, max)
+        ev = max((self.ev_kind, self.ev_val), (other.ev_kind, other.ev_val),
+                 key=lambda ev: _ev_key(*ev))
         return _from_profile(tops, hs, ev)
 
     def __or__(self, other: "JohnstoneOpen") -> "JohnstoneOpen":
@@ -165,7 +166,8 @@ class JohnstoneOpen:
                 hs[m] = self.height(m)
             else:
                 hs[m] = min(self.height(m), other.height(m))
-        ev = _ev_combine(self.ev_kind, self.ev_val, other.ev_kind, other.ev_val, min)
+        ev = min((self.ev_kind, self.ev_val), (other.ev_kind, other.ev_val),
+                 key=lambda ev: _ev_key(*ev))
         return _from_profile(self.tops & other.tops, hs, ev)
 
     def top_trace(self) -> CofiniteSet:
@@ -184,33 +186,16 @@ class JohnstoneOpen:
         )
 
 
-def _ev_leq(k2: str, v2: int, k1: str, v1: int) -> bool:
-    """Whether eventual height (k2, v2) <= (k1, v1) for all large columns."""
-    if k2 == k1:
-        return v2 <= v1
-    if k2 == "const" and k1 == "shift":
-        return True  # column + shift outgrows any constant
-    return False
-
-
-def _ev_combine(k1: str, v1: int, k2: str, v2: int, op) -> tuple[str, int]:
-    if k1 == k2:
-        return k1, op(v1, v2)
-    # mixed constant and shift: beyond the crossover the shift is larger
-    shift_val = v1 if k1 == "shift" else v2
-    const_val = v1 if k1 == "const" else v2
-    if op is max:
-        return "shift", shift_val
-    return "const", const_val
+def _ev_key(kind: str, val: int) -> tuple[bool, int]:
+    """Orders eventual heights as they compare on all large columns:
+    column + shift outgrows every constant."""
+    return (kind == "shift", val)
 
 
 def _crossovers(a: "JohnstoneOpen", b: "JohnstoneOpen") -> int:
-    vals = []
-    for u in (a, b):
-        for w in (a, b):
-            if u.ev_kind == "const" and w.ev_kind == "shift":
-                vals.append(u.ev_val - w.ev_val)
-    return max(vals, default=0)
+    """Past this column a column + shift form is above a constant one."""
+    lo, hi = sorted((a, b), key=lambda o: _ev_key(o.ev_kind, o.ev_val))
+    return lo.ev_val - hi.ev_val if lo.ev_kind != hi.ev_kind else 0
 
 
 def _joint_horizon(a: "JohnstoneOpen", b: "JohnstoneOpen") -> int:
@@ -283,10 +268,7 @@ def open_from_generators(
         if start is not None and m >= start:
             h = max(h, _ev_height(kind, val, m))
         heights[m] = h
-    ev = (kind, val) if tail is not None else ("const", band)
-    if tail is not None and kind == "const":
-        ev = ("const", max(val, band))
-    return _from_profile(tops, heights, ev)
+    return _from_profile(tops, heights, (kind, val if kind == "shift" else max(val, band)))
 
 
 class JohnstoneSpace:
@@ -404,13 +386,10 @@ def min_selector(u: JohnstoneOpen) -> MinSelector:
     if u.is_empty:
         raise EmptyOpen("the empty open has no column minima")
     m0 = u.band
-    prefix = tuple(u.height(m) + 1 for m in range(m0 + 1, u.horizon() + 1))
-    sel = MinSelector(m0, prefix, u.ev_kind, u.ev_val + 1)
-    while len(sel.prefix) and sel.prefix[-1] == _ev_height(
-        sel.ev_kind, sel.ev_val, m0 + len(sel.prefix)
-    ):
-        sel = MinSelector(m0, sel.prefix[:-1], sel.ev_kind, sel.ev_val)
-    return sel
+    prefix = [u.height(m) + 1 for m in range(m0 + 1, u.horizon() + 1)]
+    while prefix and prefix[-1] == _ev_height(u.ev_kind, u.ev_val + 1, m0 + len(prefix)):
+        prefix.pop()
+    return MinSelector(m0, tuple(prefix), u.ev_kind, u.ev_val + 1)
 
 
 def cover_member(sel: MinSelector, k: int) -> JohnstoneOpen:

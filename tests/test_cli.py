@@ -90,6 +90,22 @@ def test_construct_product_document_parses(capsys, sigma2_file, chain3_file):
     assert "a_p" in doc.point_names
 
 
+def test_construct_product_renames_colliding_labels(capsys, tmp_path):
+    # a x b_c and a_b x c both join to a_b_c, so every point is renamed
+    # p<i> and a comment keeps each joined label
+    a, b = tmp_path / "a.space", tmp_path / "b.space"
+    a.write_text("space A\npoints a a_b\nle a a_b\n")
+    b.write_text("space B\npoints b_c c\n")
+    assert main(["construct", "product", str(a), str(b)]) == 0
+    text = capsys.readouterr().out
+    labels = ["a_b_c", "a_c", "a_b_b_c", "a_b_c"]
+    for i, label in enumerate(labels):
+        assert f"# p{i} = {label}\n" in text
+    doc = parse_space(text)
+    assert doc.point_names == ("p0", "p1", "p2", "p3")
+    assert doc.space.n == 4
+
+
 def test_construct_subspace(capsys, chain3_file):
     assert main(["construct", "subspace", chain3_file, "--points", "q,r"]) == 0
     doc = parse_space(capsys.readouterr().out)

@@ -107,7 +107,7 @@ def test_projections_continuous():
 
 def test_product_index_and_coords_reject_out_of_range_values():
     prod = product([sigma2(), chain(3)])
-    for coords in [(0, 3), (0, -1)]:
+    for coords in [(0, 3), (0, -1), (0,), (0, 0, 0)]:
         with pytest.raises(MismatchedSpaces):
             prod.index(coords)
     for index in [6, -1]:

@@ -112,6 +112,12 @@ _ERROR_TABLE = {
                           "and 0 maps", None, None),
     "print_space names": (lambda: print_space("s", sigma2(), ["a", "a"]),
                           ParseError, "need 2 distinct point names", None, None),
+    "print_space space name": (lambda: print_space("9s", sigma2()),
+                               ParseError, "bad space name '9s'", None, None),
+    "print_space point name": (lambda: print_space("s", sigma2(), ["a b", "c"]),
+                               ParseError, "bad point name 'a b'", None, None),
+    "print_space comment": (lambda: print_space("s", sigma2(), comments=["a\nspace X"]),
+                            ParseError, "comment 'a\\nspace X' spans lines", None, None),
     "space arity": (_doc("space A B\n"),
                     ParseError, "space takes exactly one name (line 1, col 1)", 1, 1),
     "bad space name": (_doc("  space   9bad\n"),
@@ -247,5 +253,10 @@ def test_print_document_roundtrip_with_maps():
 def test_print_space_validates_names():
     with pytest.raises(ParseError):
         print_space("s", sigma2(), ["only_one"])
+    # each of these would print a document that parses back differently
+    with pytest.raises(ParseError, match="bad point name 'y#z'"):
+        print_space("s", sigma2(), ["x", "y#z"])
+    with pytest.raises(ParseError, match="spans lines"):
+        print_space("s", sigma2(), comments=["carriage\rreturn"])
     out = print_space("s", sigma2(), ["a", "b"], comments=["hello"])
     assert out.startswith("# hello\nspace s\n")

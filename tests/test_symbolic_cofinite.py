@@ -14,6 +14,7 @@ from t0kit.properties import is_open_well_filtered, way_below_opens
 from t0kit.symbolic.cofinite import (
     CofiniteNat,
     CofiniteSet,
+    IndexedFamily,
     check_owf,
     check_owf_refutation,
     cofinite_excluding,
@@ -156,6 +157,36 @@ def test_non_refuting_certificates():
     flip_flop = constant_family(finite_set([1]))
     with pytest.raises(BadParams):
         check_owf_refutation(SPACE, flip_flop, empty_set())
+
+
+# Families whose shape tag lies about their members.  Each would get a
+# verdict from the shape alone; the spot check of the promise refuses it.
+_FORGED = {
+    # the intersection is empty and no member is inside it, so the
+    # condition fails: "Holds, intersection is not inside u" would be false
+    "segments tagged constant": (
+        IndexedFamily("segments tagged constant",
+                      lambda n: cofinite_excluding(range(1, n + 1)), 1, "constant"),
+        empty_set(), "member 2 differs from the first"),
+    # the intersection N+ minus {1..40} holds 50, so it is not inside u and
+    # the condition holds: "Refuted" would be false
+    "late": (
+        IndexedFamily("late", lambda n: cofinite_excluding(range(1, min(n, 40) + 1)),
+                      1, "initial_segment_complements"),
+        cofinite_excluding([50]), "member 50 is not inside u"),
+    "full tagged segments": (
+        IndexedFamily("full tagged segments", lambda n: full_set(), 1,
+                      "initial_segment_complements"),
+        empty_set(), "point 1 is in member 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORGED))
+def test_forged_shape_tags_are_refused(case):
+    family, u, why = _FORGED[case]
+    with pytest.raises(BadParams) as err:
+        check_owf_refutation(SPACE, family, u, bound=8)
+    assert str(err.value) == f"{case} breaks its shape: {why}"
 
 
 def test_opaque_family_reports_bounded():

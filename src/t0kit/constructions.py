@@ -24,6 +24,7 @@ from .finite_space import (
     FiniteSpace,
     PointSet,
     all_opens,
+    check_inside,
     is_subset,
     iter_bits,
     points_of,
@@ -300,6 +301,7 @@ def closed_pair_representation(space: FiniteSpace, e: PointSet) -> tuple[tuple[P
     equals E; exists exactly when E is b-closed.  Greedy: a pair is kept
     only if it strictly shrinks the running intersection, so at most one
     pair per removed point."""
+    check_inside(space, e)
     if b_closure(space, e) != e:
         raise NotBClosed(f"{points_of(e)} is not b-closed")
     full = space.full

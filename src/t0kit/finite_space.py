@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import caps
-from .errors import CapExceeded, EmptyCarrier, NotAPartialOrder, NotATopology, NotT0
+from .errors import (
+    CapExceeded,
+    EmptyCarrier,
+    MismatchedSpaces,
+    NotAPartialOrder,
+    NotATopology,
+    NotT0,
+)
 
 PointSet = int
 
@@ -69,6 +76,13 @@ class FiniteSpace:
 
     def complement(self, a: PointSet) -> PointSet:
         return self.full & ~a
+
+
+def check_inside(space: FiniteSpace, a: PointSet) -> None:
+    """Refuse a point set with a bit at or above space.n: it names a
+    point the space does not have."""
+    if a & ~space.full:
+        raise MismatchedSpaces(f"point set {a:#x} has points outside a space of {space.n} points")
 
 
 def _check_carrier(n: int) -> None:
@@ -204,6 +218,7 @@ def all_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
 
 def closure(space: FiniteSpace, a: PointSet) -> PointSet:
     """Smallest closed superset; closed sets are down-sets."""
+    check_inside(space, a)
     m = 0
     for x in iter_bits(a):
         m |= space.down[x]
@@ -212,6 +227,7 @@ def closure(space: FiniteSpace, a: PointSet) -> PointSet:
 
 def saturate(space: FiniteSpace, a: PointSet) -> PointSet:
     """Intersection of all opens containing a; equals the up-closure."""
+    check_inside(space, a)
     m = 0
     for x in iter_bits(a):
         m |= space.up[x]
@@ -219,6 +235,7 @@ def saturate(space: FiniteSpace, a: PointSet) -> PointSet:
 
 
 def interior(space: FiniteSpace, a: PointSet) -> PointSet:
+    check_inside(space, a)
     m = 0
     for x in iter_bits(a):
         if is_subset(space.up[x], a):
@@ -236,6 +253,7 @@ def is_directed(space: FiniteSpace, d: PointSet) -> bool:
     """Nonempty, and every pair has an upper bound inside d."""
     if d == 0:
         return False
+    check_inside(space, d)
     pts = points_of(d)
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:

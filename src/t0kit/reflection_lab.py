@@ -8,6 +8,10 @@ properties (productive, b-closed-hereditary, has equalizers), and a
 bounded universal-property verifier.  All quantifiers over "all spaces"
 are bounded by an explicit carrier size recorded in the result.
 
+Acceptance criteria 1, 2, 3, 5 and 6 are check_finite_collapse,
+check_chain_pairs, check_equalizer_theorem, check_sobrification_routes
+and check_subspace_reflections, reported by the same sweep as K1-K4.
+
 Within the finite testbed every space is sober, so K1 bounded at n says
 exactly "K contains every space with at most n points"; classes excluding
 some finite space fail it, which is the mechanism behind the negative
@@ -20,24 +24,28 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from .b_topology import b_closure, is_b_closed
+from .b_topology import b_closure, b_space, chain_pair_is_b_closed_sigma2, is_b_closed
 from .constructions import (
     SpaceMap,
     canonical_embedding,
     compose,
     equalizer,
+    equalizer_maps_for_bclosed,
     identity,
     image_mask,
+    is_homeomorphism,
     preimage,
     product,
     space_map,
     subspace,
 )
-from .enumeration import continuous_maps_list, relabel_space, spaces_up_to
-from .errors import BadParams, EmptyCarrier, MismatchedSpaces
+from .enumeration import canonical_form, continuous_maps_list, relabel_space, spaces_up_to
+from .errors import BadParams, EmptyCarrier
 from .finite_space import (
     FiniteSpace,
     PointSet,
+    all_opens,
+    check_inside,
     from_order,
     irreducible_closed_sets,
     is_subset,
@@ -137,14 +145,18 @@ def sobrify_bclosure(space: FiniteSpace) -> SobrificationResult:
 def k_closure(ambient: FiniteSpace, a: PointSet, predicate: ClassPredicate) -> PointSet:
     """Intersection of all carriers B with a <= B whose subspace lies in
     the class.  When no such carrier exists the intersection over the
-    empty family is the whole ambient carrier."""
+    empty family is the whole ambient carrier.  When a itself lies in
+    the class the answer is a after one membership call (a set lemma,
+    not the property decided); the scan of every carrier is its oracle
+    in tests/oracles.py."""
     if a == 0:
         raise EmptyCarrier("k-closure of the empty set is not defined here")
-    if a & ~ambient.full:
-        raise MismatchedSpaces(f"point set {a:#x} has points outside a space of {ambient.n} points")
+    check_inside(ambient, a)
+    if predicate(subspace(ambient, a).space):
+        return a  # a is in the family, and every member contains a
     out = ambient.full
     for b in range(ambient.full + 1):
-        if is_subset(a, b) and b != 0 and predicate(subspace(ambient, b).space):
+        if b != a and is_subset(a, b) and predicate(subspace(ambient, b).space):
             out &= b
     return out
 
@@ -289,6 +301,24 @@ def _member_carriers(space: FiniteSpace, predicate: ClassPredicate) -> list[Poin
 EXEMPT = object()  # sweep item for an empty intersection, preimage or equalizer
 
 
+def _parallel_pairs(spaces: list[FiniteSpace], ordered: bool) -> Iterator[tuple]:
+    """Each parallel pair of maps f, g: a -> b between the spaces, as
+    (a, b, f, g, equalizer); with g from f on in the map stream unless
+    ordered.  has_equalizers and criterion 3 both read it."""
+    for a in spaces:
+        for b in spaces:
+            maps = continuous_maps_list(a, b)
+            for i, f in enumerate(maps):
+                for g in maps if ordered else maps[i:]:
+                    yield a, b, f, g, equalizer(f, g)
+
+
+def _pair_witness(a: FiniteSpace, b: FiniteSpace, f: SpaceMap, g: SpaceMap,
+                  e: PointSet) -> dict[str, Any]:
+    return {"dom_up": _ups(a), "cod_up": _ups(b), "f": list(f.table),
+            "g": list(g.table), "equalizer": list(points_of(e))}
+
+
 def _subspace_item(predicate: ClassPredicate, space: FiniteSpace, carrier: PointSet,
                    witness: Callable[[], dict[str, Any]]) -> Any:
     """Sweep item for the subspace of space on carrier: EXEMPT when the
@@ -407,19 +437,8 @@ def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[
                     })
 
     def equalizers():
-        for a in members:
-            for b in members:
-                maps = continuous_maps_list(a, b)
-                for f in maps:
-                    for g in maps:
-                        e = equalizer(f, g)
-                        yield _subspace_item(predicate, a, e, lambda: {
-                            "dom_up": _ups(a),
-                            "cod_up": _ups(b),
-                            "f": list(f.table),
-                            "g": list(g.table),
-                            "equalizer": list(points_of(e)),
-                        })
+        for a, b, f, g, e in _parallel_pairs(members, ordered=True):
+            yield _subspace_item(predicate, a, e, lambda: _pair_witness(a, b, f, g, e))
 
     return {
         "productive": _sweep("productive", n_max, productive(), "products_checked",
@@ -429,3 +448,121 @@ def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[
         "has_equalizers": _sweep("has_equalizers", n_max, equalizers(),
                                  "equalizers_checked", "empty_equalizers_skipped"),
     }
+
+
+# Acceptance criteria 1, 2, 3, 5 and 6, each swept over the spaces with
+# at most its bound's points.
+
+_B_CLOSURE_IS_IDENTITY = "b-closure is the identity: up[z] & down[z] = {z} by antisymmetry"
+
+
+def check_finite_collapse(n_max: int = 6) -> PropertyReport:
+    """Criterion 1: the five sobriety-like checkers hold and the b-space is
+    discrete; details also count the spaces by size.  An n_max above the
+    enum cap needs caps.scoped(enum=n_max)."""
+    _check_bounds(n_max=n_max)
+    spaces = list(spaces_up_to(n_max))
+    names = ("sober", "co_sober", "strong_d", "k_bounded_sober", "open_well_filtered")
+
+    def cases():
+        for z in spaces:
+            failing = [name for name in names if not CHECKERS[name](z).holds]
+            discrete = b_space(z).up == tuple(1 << x for x in range(z.n))
+            yield None if discrete and not failing else {
+                "space_up": _ups(z), "failing": failing, "b_space_discrete": discrete}
+
+    return _sweep("finite_collapse", n_max, cases(), "spaces_checked",
+                  spaces_by_size=dict(Counter(z.n for z in spaces)))
+
+
+def check_chain_pairs(n_max: int = 5) -> PropertyReport:
+    """Criterion 2: each {x1 < x2} is b-closed and its subspace is sigma2.
+    It cannot fail; details say why."""
+    _check_bounds(n_max=n_max)
+
+    def cases():
+        for z in spaces_up_to(n_max):
+            for x1 in range(z.n):
+                for x2 in iter_bits(z.up[x1] & ~(1 << x1)):
+                    ok = chain_pair_is_b_closed_sigma2(z, x1, x2).holds
+                    yield None if ok else {"space_up": _ups(z), "pair": [x1, x2]}
+
+    return _sweep("chain_pairs_b_closed", n_max, cases(), "pairs_checked",
+                  vacuous_by=_B_CLOSURE_IS_IDENTITY + "; a two-point chain is sigma2")
+
+
+def check_equalizer_theorem(n_max: int = 4) -> dict[str, PropertyReport]:
+    """Criterion 3.  forward: the equalizer of each unordered parallel pair
+    is b-closed; it cannot fail, and details say why.  backward: each
+    b-closed set is the equalizer of its equalizer_maps_for_bclosed pair."""
+    _check_bounds(n_max=n_max)
+    spaces = list(spaces_up_to(n_max))
+
+    def forward():
+        for a, b, f, g, e in _parallel_pairs(spaces, ordered=False):
+            yield None if is_b_closed(a, e) else _pair_witness(a, b, f, g, e)
+
+    def backward():
+        for z in spaces:
+            for e in range(z.full + 1):
+                if is_b_closed(z, e):
+                    pres = equalizer_maps_for_bclosed(z, e)
+                    ok = equalizer(pres.f, pres.g) == e
+                    yield None if ok else {"space_up": _ups(z), "b_closed": list(points_of(e))}
+
+    return {"forward": _sweep("equalizers_are_b_closed", n_max, forward(), "pairs_checked",
+                              vacuous_by=_B_CLOSURE_IS_IDENTITY),
+            "backward": _sweep("b_closed_sets_are_equalizers", n_max, backward(),
+                               "sets_checked")}
+
+
+def check_sobrification_routes(n_max: int = 5) -> PropertyReport:
+    """Criterion 5: both units are homeomorphisms, and so is the bridge
+    between the two results, which commutes with them.  Spaces with more
+    than 12 opens are exempt: the b-closure route's power of 2^(opens - 1)
+    points would pass the default product cap."""
+    _check_bounds(n_max=n_max)
+
+    def cases():
+        for z in spaces_up_to(n_max):
+            if len(all_opens(z)) > 12:
+                yield EXEMPT
+                continue
+            irr, bcl = sobrify_irr(z), sobrify_bclosure(z)
+            ok = is_homeomorphism(irr.unit) and is_homeomorphism(bcl.unit)
+            if ok:
+                inverse = sorted(range(z.n), key=irr.unit.table.__getitem__)
+                bridge = compose(bcl.unit, space_map(irr.space, z, inverse))
+                ok = (is_homeomorphism(bridge)
+                      and compose(bridge, irr.unit).table == bcl.unit.table)
+            yield None if ok else {"space_up": _ups(z)}
+
+    return _sweep("sobrification_routes_agree", n_max, cases(), "spaces_checked",
+                  "spaces_over_12_opens_skipped")
+
+
+def check_subspace_reflections(test_bound: int = 4) -> dict[str, PropertyReport]:
+    """Criterion 6 for the sober class.  inclusions: each nonempty subset
+    is its own k-closure.  reflections: the identity of each subspace shape
+    met there (first seen first) passes is_reflection at test_bound."""
+    _check_bounds(test_bound=test_bound)
+    sober = REGISTRY["sober"]
+    shapes: dict[Any, FiniteSpace] = {}
+
+    def inclusions():
+        for z in spaces_up_to(test_bound):
+            for a in range(1, z.full + 1):
+                sub = subspace(z, a).space
+                shapes.setdefault(canonical_form(sub).key, sub)
+                cl = k_closure(z, a, sober)
+                yield None if cl == a else {"ambient_up": _ups(z), "subset": list(points_of(a)),
+                                            "k_closure": list(points_of(cl))}
+
+    included = _sweep("subspace_inclusions_k_closed", test_bound, inclusions(),
+                      "inclusions_checked")
+    checks = [(sp, is_reflection(identity(sp), sober, test_bound)) for sp in shapes.values()]
+    cases = (None if c.holds and c.verified_objects else {"shape_up": _ups(sp), **(c.witness or {})}
+             for sp, c in checks)
+    return {"inclusions": included,
+            "reflections": _sweep("subspace_reflections", test_bound, cases, "shapes_checked",
+                                  factorizations=sum(c.verified_objects for _, c in checks))}

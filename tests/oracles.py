@@ -41,6 +41,7 @@ from t0kit.constructions import (
     product,
     sierpinski_power,
     space_map,
+    subspace,
 )
 from t0kit.enumeration import all_continuous_maps, continuous_maps_list, spaces_up_to
 from t0kit.finite_space import (
@@ -81,6 +82,7 @@ from t0kit.reflection_lab import (
     ReflectionCheck,
     SobrificationResult,
     is_reflection,
+    k_closure,
     sobrify_irr,
 )
 
@@ -414,6 +416,16 @@ def is_reflection_by_scan(eta: SpaceMap, predicate, test_bound: int) -> Reflecti
     return ReflectionCheck(True, verified, test_bound)
 
 
+def k_closure_by_scan(ambient: FiniteSpace, a: int, predicate) -> int:
+    """Intersect every nonempty carrier B with a <= B whose subspace is a
+    member; the whole carrier when there is none."""
+    out = ambient.full
+    for b in range(1, ambient.full + 1):
+        if is_subset(a, b) and predicate(subspace(ambient, b).space):
+            out &= b
+    return out
+
+
 # The fast sides, shaped like their oracles' outputs.
 
 
@@ -545,6 +557,15 @@ def identity_units(space: FiniteSpace) -> list[tuple]:
     return [(identity(space), predicate, 2) for predicate in REGISTRY.values()]
 
 
+def subsets_and_classes(space: FiniteSpace) -> list[tuple]:
+    """Every nonempty subset of a space of at most 3 points, for every
+    REGISTRY class."""
+    if space.n > 3:
+        return []
+    return [(space, a, predicate)
+            for a in range(1, space.full + 1) for predicate in REGISTRY.values()]
+
+
 def extension_outcome(check: ReflectionCheck) -> str:
     count = (check.witness or {}).get("extension_count")
     if check.holds:
@@ -629,6 +650,9 @@ ROWS = [
         "counted by the table of g . eta", None, units,
         seeds=lambda: spaces_up_to(3), random_cases=identity_units,
         outcomes=(extension_outcome, frozenset({"holds", "none", "several"}))),
+    Row("k_closure", k_closure, k_closure_by_scan,
+        "a is in the family when its subspace is a member, and every member "
+        "contains a, so the intersection is a", None, subsets_and_classes),
 ]
 
 BY_NAME = {row.name: row for row in ROWS}

@@ -3,41 +3,27 @@
 Each criterion prints its verdict directly to the terminal (bypassing
 capture) and then asserts, so a full run shows eight lines regardless
 of pytest verbosity.  Budgeted criteria also assert their wall-clock
-limits."""
+limits.  Criteria 1, 2, 3, 5 and 6 assert on reflection_lab reports."""
 
 import time
 
 from t0kit import caps, reflection_lab
-from t0kit.b_topology import b_space, chain_pair_is_b_closed_sigma2, is_b_closed
 from t0kit.cli import _corpus_rows
 from t0kit.constructions import (
     compose,
-    equalizer,
-    equalizer_maps_for_bclosed,
     find_homeomorphism,
-    is_homeomorphism,
     powerset_scott,
     sierpinski_power,
-    space_map,
-    subspace,
-)
-from t0kit.enumeration import canonical_form, continuous_maps_list, spaces_up_to
-from t0kit.finite_space import all_opens, is_subset, iter_bits
-from t0kit.properties import (
-    is_co_sober,
-    is_k_bounded_sober,
-    is_open_well_filtered,
-    is_sober,
-    is_strong_d,
 )
 from t0kit.reflection_lab import (
     REGISTRY,
+    check_chain_pairs,
     check_closure_properties,
+    check_equalizer_theorem,
+    check_finite_collapse,
     check_K_conditions,
-    is_reflection,
-    k_closure,
-    sobrify_bclosure,
-    sobrify_irr,
+    check_sobrification_routes,
+    check_subspace_reflections,
 )
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}  # OEIS A000112
@@ -51,76 +37,36 @@ def _line(capsys, num: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_finite_collapse(capsys):
     t0 = time.perf_counter()
-    counts = {n: 0 for n in POSET_COUNTS}
-    failures = []
-    total = 0
     with caps.scoped(enum=7):
-        spaces = list(spaces_up_to(7))
-    for sp in spaces:
-        counts[sp.n] += 1
-        total += 1
-        reports = [
-            is_sober(sp), is_co_sober(sp), is_strong_d(sp),
-            is_k_bounded_sober(sp), is_open_well_filtered(sp),
-        ]
-        if not all(r.holds for r in reports):
-            failures.append((sp.n, [r.name for r in reports if not r.holds]))
-        bx = b_space(sp)
-        if any(bx.up[x] != 1 << x for x in range(bx.n)):
-            failures.append((sp.n, "b-space not discrete"))
+        rep = check_finite_collapse(7)
     secs = time.perf_counter() - t0
-    ok = counts == POSET_COUNTS and not failures and secs < 60
+    counts = rep.details["spaces_by_size"]
+    ok = rep.holds and counts == POSET_COUNTS and secs < 60
     _line(capsys, 1, ok,
-          f"five properties Hold and the b-space is discrete on all {total} "
-          f"spaces with <= 7 points, counts {counts} as frozen ({secs:.1f}s, "
-          f"budget 60s)")
+          f"five properties Hold and the b-space is discrete on all "
+          f"{rep.details['spaces_checked']} spaces with <= 7 points, counts "
+          f"{counts} as frozen ({secs:.1f}s, budget 60s)")
 
 
 def test_criterion_2_chain_pairs(capsys):
-    pairs = 0
-    exceptions = 0
-    for sp in spaces_up_to(5):
-        for x1 in range(sp.n):
-            for x2 in iter_bits(sp.up[x1]):
-                if x2 == x1:
-                    continue
-                if not chain_pair_is_b_closed_sigma2(sp, x1, x2).holds:
-                    exceptions += 1
-                pairs += 1
-    ok = exceptions == 0 and pairs > 200
+    rep = check_chain_pairs(5)
+    pairs = rep.details["pairs_checked"]
+    ok = rep.holds and pairs > 200
     _line(capsys, 2, ok,
           f"every comparable pair gives a b-closed two-point chain subspace "
-          f"({pairs} pairs over all spaces <= 5 points, {exceptions} exceptions)")
+          f"({pairs} pairs over all spaces <= 5 points, {int(not rep.holds)} exceptions)")
 
 
 def test_criterion_3_equalizer_theorem(capsys):
-    spaces4 = list(spaces_up_to(4))
-    checked = 0
-    bad_forward = 0
-    for x in spaces4:
-        for y in spaces4:
-            maps = continuous_maps_list(x, y)
-            for i, f in enumerate(maps):
-                for g in maps[i:]:
-                    if not is_b_closed(x, equalizer(f, g)):
-                        bad_forward += 1
-                    checked += 1
-    realized = 0
-    bad_backward = 0
-    for x in spaces4:
-        for e in range(x.full + 1):
-            if not is_b_closed(x, e):
-                continue
-            pres = equalizer_maps_for_bclosed(x, e)
-            if equalizer(pres.f, pres.g) != e:
-                bad_backward += 1
-            realized += 1
-    ok = bad_forward == 0 and bad_backward == 0 and checked > 10**5
+    reps = check_equalizer_theorem(4)
+    forward, backward = reps["forward"], reps["backward"]
+    checked = forward.details["pairs_checked"]
+    ok = forward.holds and backward.holds and checked > 10**5
     _line(capsys, 3, ok,
           f"equalizers are b-closed ({checked} map pairs over spaces <= 4 "
-          f"points, {bad_forward} failures) and every b-closed set is an "
-          f"equalizer of characteristic maps ({realized} sets, "
-          f"{bad_backward} failures), exact equality")
+          f"points, {int(not forward.holds)} failures) and every b-closed set is an "
+          f"equalizer of characteristic maps ({backward.details['sets_checked']} sets, "
+          f"{int(not backward.holds)} failures), exact equality")
 
 
 def test_criterion_4_sierpinski_powers(capsys):
@@ -140,25 +86,10 @@ def test_criterion_4_sierpinski_powers(capsys):
 
 def test_criterion_5_two_route_sobrification(capsys):
     t0 = time.perf_counter()
-    done = 0
-    failures = 0
-    for sp in spaces_up_to(5):
-        if len(all_opens(sp)) > 12:
-            continue
-        r1, r2 = sobrify_irr(sp), sobrify_bclosure(sp)
-        if not (is_homeomorphism(r1.unit) and is_homeomorphism(r2.unit)):
-            failures += 1
-            continue
-        inv = [0] * sp.n
-        for x in range(sp.n):
-            inv[r1.unit.table[x]] = x
-        bridge = compose(r2.unit, space_map(r1.space, sp, tuple(inv)))
-        if not (is_homeomorphism(bridge)
-                and compose(bridge, r1.unit).table == r2.unit.table):
-            failures += 1
-        done += 1
+    rep = check_sobrification_routes(5)
     secs = time.perf_counter() - t0
-    ok = failures == 0 and done >= 50 and secs < 120
+    done = rep.details["spaces_checked"]
+    ok = rep.holds and done >= 50 and secs < 120
     _line(capsys, 5, ok,
           f"both sobrification routes agree up to a homeomorphism that "
           f"commutes with the units, and both units are homeomorphisms, on "
@@ -166,7 +97,6 @@ def test_criterion_5_two_route_sobrification(capsys):
 
 
 def test_criterion_6_reflection_universal_property(capsys, monkeypatch):
-    sober = REGISTRY["sober"]
     composes = 0
 
     def counting_compose(g, f):
@@ -175,31 +105,19 @@ def test_criterion_6_reflection_universal_property(capsys, monkeypatch):
         return compose(g, f)
 
     monkeypatch.setattr(reflection_lab, "compose", counting_compose)
-    inclusions = 0
-    classes = {}
-    closure_ok = True
-    for z in spaces_up_to(4):
-        for mask in range(1, z.full + 1):
-            cl = k_closure(z, mask, sober)
-            closure_ok = closure_ok and is_subset(mask, cl) and cl == mask
-            sub = subspace(z, mask).space
-            inclusions += 1
-            classes.setdefault(canonical_form(sub).key, sub)
-    reflection_ok = True
-    factorizations = 0
-    for sp in classes.values():
-        eta = space_map(sp, sp, tuple(range(sp.n)))
-        chk = is_reflection(eta, sober, test_bound=4)
-        reflection_ok = reflection_ok and chk.holds and chk.verified_objects > 0
-        factorizations += chk.verified_objects
-    ok = (closure_ok and reflection_ok and inclusions == 282
+    reps = check_subspace_reflections(4)
+    included, reflected = reps["inclusions"], reps["reflections"]
+    inclusions = included.details["inclusions_checked"]
+    factorizations = reflected.details["factorizations"]
+    ok = (included.holds and reflected.holds and inclusions == 282
           and composes <= factorizations)
     _line(capsys, 6, ok,
           f"each of the {inclusions} subspace inclusions into its class "
           f"closure is a reflection: every map into a class member with "
           f"<= 4 points factors through it exactly once "
           f"({factorizations} unique factorizations over "
-          f"{len(classes)} distinct subspace shapes, {composes} compose calls)")
+          f"{reflected.details['shapes_checked']} distinct subspace shapes, "
+          f"{composes} compose calls)")
 
 
 def test_criterion_7_certificate_corpus(capsys):

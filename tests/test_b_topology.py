@@ -10,6 +10,7 @@ import pytest
 from oracles import BY_NAME, GALLERY, space_id, walk
 
 from t0kit.b_topology import (
+    ChainPairEvidence,
     b_basic_opens,
     b_closure,
     b_space,
@@ -75,6 +76,13 @@ def test_chain_pair_evidence():
     assert ev.holds
     assert ev.b_closed and ev.b_closure_of_pair == 0b1010
     assert ev.homeomorphism_to_sierpinski == (0, 1)
+
+
+@pytest.mark.parametrize("b_closed, homeo", [(False, (0, 1)), (True, None)])
+def test_chain_pair_evidence_needs_both_conjuncts(b_closed, homeo):
+    # on finite T0 input both always hold, so only a built record shows it
+    ev = ChainPairEvidence(0b11, b_closed, 0b11, homeo)
+    assert ev.holds is False
 
 
 def test_chain_pair_rejects_non_pairs():

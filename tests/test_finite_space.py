@@ -10,9 +10,11 @@ import pytest
 from oracles import BY_NAME, GALLERY, space_id, walk
 
 from t0kit import caps
+from t0kit.constructions import closed_pair_representation, equalizer_maps_for_bclosed
 from t0kit.errors import (
     CapExceeded,
     EmptyCarrier,
+    MismatchedSpaces,
     NotAPartialOrder,
     NotATopology,
     NotOpen,
@@ -105,6 +107,14 @@ def test_masks_outside_the_carrier_are_neither_open_nor_closed():
         assert not sp.is_open(mask) and not sp.is_closed(mask)
     with pytest.raises(NotOpen):
         way_below_opens(sp, 0b100, 0b11)
+
+
+@pytest.mark.parametrize("mask", [0b1000, 0b1001])
+@pytest.mark.parametrize("op", [closure, saturate, interior, is_directed,
+                                closed_pair_representation, equalizer_maps_for_bclosed])
+def test_operators_refuse_masks_outside_the_carrier(op, mask):
+    with pytest.raises(MismatchedSpaces, match=f"{mask:#x} has points outside a space of 3"):
+        op(chain(3), mask)
 
 
 def test_opens_counts_frozen():

@@ -6,9 +6,13 @@ routes agree with each other, identity units pass the bounded universal
 property, and the negative-control predicates fail exactly the closure
 properties they are designed to fail, with machine-checkable witnesses."""
 
+import inspect
+
 import pytest
 from oracles import extension_outcome, walked
 
+from t0kit import reflection_lab
+from t0kit.b_topology import ChainPairEvidence
 from t0kit.constructions import find_homeomorphism, is_monotone, space_map
 from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import BadParams, CapExceeded, EmptyCarrier, MismatchedSpaces
@@ -26,8 +30,13 @@ from t0kit.properties import CHECKERS
 from t0kit.reflection_lab import (
     REGISTRY,
     ClassPredicate,
+    check_chain_pairs,
     check_closure_properties,
+    check_equalizer_theorem,
+    check_finite_collapse,
     check_K_conditions,
+    check_sobrification_routes,
+    check_subspace_reflections,
     construct_reflection,
     is_reflection,
     k_closure,
@@ -148,11 +157,34 @@ def test_reflection_bounds_below_one_are_refused(bad):
 
 
 @pytest.mark.parametrize("bad", [0, -1])
-@pytest.mark.parametrize("sweep", [check_K_conditions, check_closure_properties])
+@pytest.mark.parametrize("sweep", [
+    check_K_conditions, check_closure_properties, check_finite_collapse, check_chain_pairs,
+    check_equalizer_theorem, check_sobrification_routes, check_subspace_reflections,
+])
 def test_sweep_bounds_below_one_are_refused(sweep, bad):
-    # at bound 0 no space is swept, so every report would hold vacuously
-    with pytest.raises(BadParams, match="n_max must be at least 1"):
-        sweep(SOBER, n_max=bad)
+    # at bound 0 no space is swept, so every report would hold vacuously;
+    # the bound is the last parameter, after the class if there is one
+    *before, bound = inspect.signature(sweep).parameters
+    with pytest.raises(BadParams, match=f"{bound} must be at least 1"):
+        sweep(*[SOBER] * len(before), **{bound: bad})
+
+
+@pytest.mark.parametrize("entry, name, fault, checked", [
+    (check_finite_collapse, "b_space", lambda z: z, 3),
+    (check_chain_pairs, "chain_pair_is_b_closed_sigma2",
+     lambda *args: ChainPairEvidence(0b11, False, 0b11, None), 1),
+    (lambda n: check_equalizer_theorem(n)["forward"], "is_b_closed", lambda *args: False, 1),
+    (check_sobrification_routes, "is_homeomorphism", lambda f: False, 1),
+    (lambda n: check_subspace_reflections(n)["inclusions"], "k_closure",
+     lambda z, a, pred: z.full, 2),
+])
+def test_acceptance_criteria_report_a_planted_fault(monkeypatch, entry, name, fault, checked):
+    # every criterion holds on correct code, so a fault is planted in what
+    # its sweep calls; the failing instance is counted
+    monkeypatch.setattr(reflection_lab, name, fault)
+    rep = entry(2)
+    assert not rep.holds and rep.witness
+    assert next(iter(rep.details.values())) == checked
 
 
 def test_is_reflection_matches_the_literal_scan():

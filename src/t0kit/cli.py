@@ -327,11 +327,15 @@ def _parse_where(expr: str):
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
+    def bad(tok):
+        where = "end of expression" if tok is None else f"token {tok!r}"
+        return UsageError(f"bad --where expression at {where}")
+
     def take(expected=None):
         nonlocal pos
         tok = peek()
         if tok is None or (expected is not None and tok != expected):
-            raise UsageError(f"bad --where expression at token {tok!r}")
+            raise bad(tok)
         pos += 1
         return tok
 
@@ -348,7 +352,7 @@ def _parse_where(expr: str):
             node = disjunction(depth + 1)
             take(")")
         elif tok is None or not re.match(r"^[A-Za-z_]", tok):
-            raise UsageError(f"bad --where expression at token {tok!r}")
+            raise bad(tok)
         else:
             take()
             if tok not in PROPERTIES:
@@ -374,7 +378,7 @@ def _parse_where(expr: str):
 
     node = disjunction(0)
     if pos != len(tokens):
-        raise UsageError(f"bad --where expression at token {peek()!r}")
+        raise bad(peek())
     return node
 
 

@@ -25,8 +25,8 @@ from .finite_space import (
     PointSet,
     all_opens,
     check_inside,
-    is_subset,
     iter_bits,
+    mask_of,
     points_of,
     sigma2,
 )
@@ -68,17 +68,11 @@ def is_monotone(f: SpaceMap) -> bool:
 
 
 def preimage(f: SpaceMap, b: PointSet) -> PointSet:
+    check_inside(f.cod, b)
     m = 0
     for x in range(f.dom.n):
         if (b >> f.table[x]) & 1:
             m |= 1 << x
-    return m
-
-
-def image_mask(f: SpaceMap) -> PointSet:
-    m = 0
-    for v in f.table:
-        m |= 1 << v
     return m
 
 
@@ -98,19 +92,6 @@ class SubspaceResult:
     space: FiniteSpace
     inclusion: SpaceMap
     points: tuple[int, ...]  # points[i] = ambient index of subspace point i
-
-    def to_sub(self, ambient_mask: PointSet) -> PointSet:
-        m = 0
-        for i, p in enumerate(self.points):
-            if (ambient_mask >> p) & 1:
-                m |= 1 << i
-        return m
-
-    def to_ambient(self, sub_mask: PointSet) -> PointSet:
-        m = 0
-        for i in iter_bits(sub_mask):
-            m |= 1 << self.points[i]
-        return m
 
 
 def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
@@ -254,6 +235,21 @@ def powerset_scott(m: int) -> FiniteSpace:
     return FiniteSpace(size, tuple(up), tuple(down))
 
 
+def _codes(n: int, sets: Sequence[PointSet]) -> tuple[int, ...]:
+    """Per-point bitcodes over a list of sets: bit k of codes[x] is set
+    iff x lies in sets[k]."""
+    codes = [0] * n
+    for k, s in enumerate(sets):
+        for x in iter_bits(s):
+            codes[x] |= 1 << k
+    return tuple(codes)
+
+
+def _map_into(space: FiniteSpace, power: SierpinskiPower, codes: Sequence[int]) -> SpaceMap:
+    """The continuous map sending x to the point of power with code codes[x]."""
+    return space_map(space, power.space, tuple(power.encode(c) for c in codes))
+
+
 @dataclass(frozen=True)
 class CanonicalEmbedding:
     """The point-separating map x -> (chi_U(x))_U into a Sierpinski power.
@@ -268,20 +264,12 @@ class CanonicalEmbedding:
 
     def materialize(self) -> tuple[SpaceMap, SierpinskiPower]:
         power = sierpinski_power(len(self.opens))
-        table = tuple(power.encode(c) for c in self.bitcodes)
-        return space_map(self.space, power.space, table), power
+        return _map_into(self.space, power, self.bitcodes), power
 
 
 def canonical_embedding(space: FiniteSpace) -> CanonicalEmbedding:
     opens = tuple(u for u in all_opens(space) if u != 0)
-    codes = []
-    for x in range(space.n):
-        code = 0
-        for k, u in enumerate(opens):
-            if (u >> x) & 1:
-                code |= 1 << k
-        codes.append(code)
-    return CanonicalEmbedding(space, opens, tuple(codes))
+    return CanonicalEmbedding(space, opens, _codes(space.n, opens))
 
 
 def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
@@ -298,27 +286,15 @@ def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
 
 def closed_pair_representation(space: FiniteSpace, e: PointSet) -> tuple[tuple[PointSet, PointSet], ...]:
     """Open pairs (U, V) with E <= U | ~V whose intersection of U | ~V
-    equals E; exists exactly when E is b-closed.  Greedy: a pair is kept
-    only if it strictly shrinks the running intersection, so at most one
-    pair per removed point."""
+    equals E; they exist exactly when E is b-closed.  One pair per point
+    y outside E, in point order: U = X - down[y] and V = up[y], so that
+    U | ~V is X minus up[y] & down[y].  By the lemma in b_topology that
+    set is the least b-open set around y, so it misses a b-closed E."""
     check_inside(space, e)
     if b_closure(space, e) != e:
         raise NotBClosed(f"{points_of(e)} is not b-closed")
     full = space.full
-    opens = all_opens(space)
-    running = full
-    chosen: list[tuple[PointSet, PointSet]] = []
-    for u in opens:
-        for v in opens:
-            s = u | (full & ~v)
-            if is_subset(e, s) and running & s != running:
-                chosen.append((u, v))
-                running &= s
-                if running == e:
-                    return tuple(chosen)
-    if running != e:
-        raise NotBClosed(f"no open-pair representation reaches {points_of(e)}")
-    return tuple(chosen)
+    return tuple((full & ~space.down[y], space.up[y]) for y in iter_bits(full & ~e))
 
 
 @dataclass(frozen=True)
@@ -326,30 +302,17 @@ class EqualizerPresentation:
     f: SpaceMap
     g: SpaceMap
     pairs: tuple[tuple[PointSet, PointSet], ...]
-    power: SierpinskiPower
 
 
 def equalizer_maps_for_bclosed(space: FiniteSpace, e: PointSet) -> EqualizerPresentation:
-    """Present a b-closed set E as the equalizer of two maps into a
+    """Present a b-closed set E as the equalizer of two maps into one
     Sierpinski power: coordinate k compares membership in U_k against
     membership in U_k | V_k, which agree exactly on U_k | ~V_k."""
     pairs = closed_pair_representation(space, e)
     power = sierpinski_power(len(pairs))
-    f_codes = []
-    g_codes = []
-    for x in range(space.n):
-        fc = 0
-        gc = 0
-        for k, (u, v) in enumerate(pairs):
-            if (u >> x) & 1:
-                fc |= 1 << k
-            if ((u | v) >> x) & 1:
-                gc |= 1 << k
-        f_codes.append(power.encode(fc))
-        g_codes.append(power.encode(gc))
-    f = space_map(space, power.space, f_codes)
-    g = space_map(space, power.space, g_codes)
-    return EqualizerPresentation(f, g, pairs, power)
+    f = _map_into(space, power, _codes(space.n, [u for u, _ in pairs]))
+    g = _map_into(space, power, _codes(space.n, [u | v for u, v in pairs]))
+    return EqualizerPresentation(f, g, pairs)
 
 
 def is_homeomorphism(f: SpaceMap) -> bool:
@@ -430,7 +393,7 @@ def is_b_retract(section: SpaceMap, retraction: SpaceMap) -> BRetractEvidence:
         section=section,
         retraction=retraction,
         retraction_fixes_domain=rs.table == tuple(range(section.dom.n)),
-        image_is_b_dense=is_b_dense(section.cod, image_mask(section)),
+        image_is_b_dense=is_b_dense(section.cod, mask_of(section.table)),
     )
 
 

@@ -32,7 +32,6 @@ from .constructions import (
     equalizer,
     equalizer_maps_for_bclosed,
     identity,
-    image_mask,
     is_homeomorphism,
     preimage,
     product,
@@ -50,6 +49,7 @@ from .finite_space import (
     irreducible_closed_sets,
     is_subset,
     iter_bits,
+    mask_of,
     points_of,
 )
 from .properties import CHECKERS, PropertyReport
@@ -125,7 +125,7 @@ def sobrify_bclosure(space: FiniteSpace) -> SobrificationResult:
     opens, take the b-closure of the image, and corestrict."""
     embedding = canonical_embedding(space)
     emb, power = embedding.materialize()
-    image = image_mask(emb)
+    image = mask_of(emb.table)
     closed = b_closure(power.space, image)
     sub = subspace(power.space, closed)
     pos = {p: i for i, p in enumerate(sub.points)}

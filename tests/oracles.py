@@ -33,6 +33,7 @@ from t0kit import caps, properties
 from t0kit.b_topology import b_basic_opens, b_closure, b_space
 from t0kit.constructions import (
     SpaceMap,
+    closed_pair_representation,
     compose,
     identity,
     is_monotone,
@@ -388,6 +389,21 @@ def literal_product(factors: list[FiniteSpace]):
     return tuple(range(len(grid))), tuple(grid), up, down
 
 
+def closed_pair_meets_literal(space: FiniteSpace) -> tuple[tuple[int, bool], ...]:
+    """For every subset E, the intersection of U | ~V over every pair of
+    opens (U, V) with E <= U | ~V, and True: each such pair is admissible."""
+    opens = all_opens(space)
+    sides = [u | (space.full & ~v) for u in opens for v in opens]
+    out = []
+    for e in range(space.full + 1):
+        meet = space.full
+        for s in sides:
+            if is_subset(e, s):
+                meet &= s
+        out.append((meet, True))
+    return tuple(out)
+
+
 def is_reflection_by_scan(eta: SpaceMap, predicate, test_bound: int) -> ReflectionCheck:
     """The literal check: compose every extension g with eta for every f."""
     x, y = eta.dom, eta.cod
@@ -458,6 +474,22 @@ def owf_tiers_literal(space: FiniteSpace) -> tuple[PropertyReport, bool]:
     return report, report.holds
 
 
+def closed_pair_meets(space: FiniteSpace) -> tuple[tuple[int, bool], ...]:
+    """For every subset E, the intersection of U | ~V over the pairs
+    closed_pair_representation gives, and whether each of them is a pair
+    of opens with E <= U | ~V."""
+    out = []
+    for e in range(space.full + 1):
+        meet = space.full
+        admissible = True
+        for u, v in closed_pair_representation(space, e):
+            side = u | (space.full & ~v)
+            meet &= side
+            admissible &= space.is_open(u) and space.is_open(v) and is_subset(e, side)
+        out.append((meet, admissible))
+    return tuple(out)
+
+
 def topology(space: FiniteSpace):
     return (
         tuple(
@@ -496,6 +528,12 @@ def whole(space: FiniteSpace) -> list[tuple]:
 def within_owf_cap(space: FiniteSpace) -> list[tuple]:
     """The literal family scans run only up to owf_opens opens."""
     return [(space,)] if len(all_opens(space)) <= caps.cap("owf_opens") else []
+
+
+def within_12_opens(space: FiniteSpace) -> list[tuple]:
+    """The open-pair oracle is quadratic in the opens and runs once per
+    subset, so random posets stop at 12 opens."""
+    return [(space,)] if len(all_opens(space)) <= 12 else []
 
 
 CODOMAINS = (sigma2(), chain(3), v_poset(), antichain(2))
@@ -624,6 +662,11 @@ ROWS = [
     Row("b_space", b_space, b_space_literal,
         "the least b-open set around x is up[x] & down[x], so bX is ordered "
         "by membership in it", None, whole),
+    Row("closed_pair_representation", closed_pair_meets, closed_pair_meets_literal,
+        "the least b-open set around y is up[y] & down[y], so for y outside "
+        "a b-closed E the open pair (X - down[y], up[y]) has U | ~V = X minus "
+        "that set, which holds E and misses y", None, whole,
+        random_cases=within_12_opens),
     Row("sobrify_irr", sobrify_irr, sobrify_irr_literal,
         "Irr(X) is ordered by inclusion: for F not inside G, the complement "
         "of G is an open meeting F and missing G", None, whole),

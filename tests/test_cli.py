@@ -277,11 +277,16 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["corpus", "run", "--bound", "-3"]) == 2
     assert main(["corpus", "run", "--bound", "257"]) == 3  # over the truncate cap
     assert main(["enumerate", "--size", "3", "--where", "sober &"]) == 64
+    assert main(["enumerate", "--size", "3", "--where", "(sober"]) == 64
+    assert main(["enumerate", "--size", "3", "--where", "sober)"]) == 64
     assert main(["enumerate", "--size", "3", "--where", "shiny"]) == 64
     assert main(["bogus"]) == 64
     assert main(["check"]) == 64
     err = capsys.readouterr().err
     assert "usage error" in err and "cap exceeded" in err and "error:" in err
+    # a trailing & and a missing ) both run out of tokens
+    assert err.count("usage error: bad --where expression at end of expression\n") == 2
+    assert "usage error: bad --where expression at token ')'\n" in err
 
 
 def test_parser_is_built_once_on_first_use_and_not_at_import():

@@ -12,7 +12,7 @@ import random
 import pytest
 from oracles import walked
 
-from t0kit.constructions import find_homeomorphism
+from t0kit.constructions import find_homeomorphism, is_homeomorphism
 from t0kit.enumeration import (
     all_spaces,
     canonical_form,
@@ -104,6 +104,22 @@ def test_canonical_form_matches_homeomorphism_search():
             b2 = relabel_space(b, tuple(perm))
             same_key = canonical_form(a).key == canonical_form(b2).key
             assert same_key == (find_homeomorphism(a, b2) is not None)
+    # Up to 5 points the sorted (|up|, |down|) signature settles every
+    # pair, so only 6-point classes that share a signature make the
+    # search backtrack and fail: 7 signatures, two classes each.
+    groups = {}
+    for sp in all_spaces(6):
+        sig = sorted((sp.up[x].bit_count(), sp.down[x].bit_count()) for x in range(sp.n))
+        groups.setdefault(tuple(sig), []).append(sp)
+    shared = [g for g in groups.values() if len(g) > 1]
+    assert sorted(map(len, shared)) == [2] * 7
+    for a, b in itertools.chain.from_iterable(itertools.permutations(g) for g in shared):
+        assert canonical_form(a).key != canonical_form(b).key
+        assert find_homeomorphism(a, b) is None
+        perm = list(range(a.n))
+        rng.shuffle(perm)
+        f = find_homeomorphism(a, relabel_space(a, tuple(perm)))
+        assert f is not None and is_homeomorphism(f)
 
 
 def test_canonicalize_fixes_its_own_output():

@@ -25,6 +25,7 @@ from t0kit.finite_space import (
     antichain,
     chain,
     closure,
+    from_cover,
     from_opens,
     from_order,
     interior,
@@ -82,6 +83,8 @@ def test_from_order_validates():
         from_order(3, [(0, 1), (1, 2)])  # (0, 2) missing: not transitive
     with pytest.raises(NotAPartialOrder):
         from_order(2, [(0, 3)])
+    with pytest.raises(NotAPartialOrder):
+        from_cover(2, [(0, 3)])
     sp = from_order(3, [(0, 1), (1, 2), (0, 2)])
     assert sp == chain(3)
 

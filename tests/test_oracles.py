@@ -5,6 +5,7 @@ make that row's walk fail."""
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,3 +39,12 @@ def test_the_walk_catches_a_planted_fault(row):
 
     with pytest.raises(AssertionError, match=re.escape(repr(row.name))):
         walk(dataclasses.replace(row, fast=fast), row.inputs())
+
+
+def test_the_readme_table_names_every_row():
+    # the first routine of each row of README's "Fast paths and their
+    # oracles" table, against the first name of each ROWS entry
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Fast paths and their oracles", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)`", section, re.MULTILINE))
+    assert documented == {row.name.split(",")[0] for row in ROWS}

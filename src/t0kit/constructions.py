@@ -3,17 +3,18 @@
 Maps between finite spaces are continuous iff they are monotone for the
 specialization orders, and that is how they are checked at construction.
 The preimage-of-opens characterization is is_monotone's oracle in
-tests/oracles.py, beside the oracles of product and sierpinski_power.
+tests/oracles.py, beside the oracles of product and sierpinski_power and
+the pointwise table comparison that checks equalizer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import or_
 from typing import Sequence
 
 from . import caps
-from .b_topology import b_closure, is_b_dense
+from .b_topology import b_closure
 from .errors import (
     EmptyCarrier,
     MismatchedSpaces,
@@ -26,27 +27,32 @@ from .finite_space import (
     all_opens,
     check_inside,
     iter_bits,
-    mask_of,
     points_of,
     sigma2,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceMap:
     dom: FiniteSpace
     cod: FiniteSpace
     table: tuple[int, ...]
+    # the fiber code of _fibers, 0 until equalizer first reads it
+    fibers: int = field(default=0, init=False, repr=False, compare=False)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
 
+def _check_table(dom: FiniteSpace, cod: FiniteSpace, table: tuple[int, ...]) -> None:
+    if len(table) != dom.n or any(not 0 <= v < cod.n for v in table):
+        raise MismatchedSpaces(f"table of length {len(table)} does not map {dom.n} points into {cod.n}")
+
+
 def space_map(dom: FiniteSpace, cod: FiniteSpace, table: Sequence[int]) -> SpaceMap:
     """Build a continuous map; raises NotContinuous on a monotonicity break."""
     table = tuple(table)
-    if len(table) != dom.n or any(not 0 <= v < cod.n for v in table):
-        raise MismatchedSpaces(f"table of length {len(table)} does not map {dom.n} points into {cod.n}")
+    _check_table(dom, cod, table)
     f = SpaceMap(dom, cod, table)
     bad = monotonicity_break(f)
     if bad is not None:
@@ -272,16 +278,31 @@ def canonical_embedding(space: FiniteSpace) -> CanonicalEmbedding:
     return CanonicalEmbedding(space, opens, _codes(space.n, opens))
 
 
+def _fibers(f: SpaceMap) -> int:
+    """The fiber code of f, stored on f: in blocks of n + 1 bits, one per
+    point v of the codomain, bit x of block v is set iff f(x) = v."""
+    _check_table(f.dom, f.cod, f.table)
+    width = f.dom.n + 1
+    code = 0
+    for x, v in enumerate(f.table):
+        code |= 1 << (v * width + x)
+    object.__setattr__(f, "fibers", code)
+    return code
+
+
 def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
+    """The points where f and g agree, from their fiber codes.
+
+    The AND of the codes keeps, in block v, the points that both maps
+    send to v.  Since 2^(n+1) is 1 modulo 2^(n+1) - 1, the residue of
+    the AND is the residue of the sum of its blocks.  Each point lies in
+    one block only, so that sum is the OR of the blocks, the agreement
+    set, which is below 2^n and so its own residue.  The codes are built
+    on first use, so compose and the map streams never pay for them."""
     # identity first: a FiniteSpace == compares whole tuples
     if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise MismatchedSpaces("equalizer needs a parallel pair")
-    f_table, g_table = f.table, g.table
-    m = 0
-    for x in range(f.dom.n):
-        if f_table[x] == g_table[x]:
-            m |= 1 << x
-    return m
+    return ((f.fibers or _fibers(f)) & (g.fibers or _fibers(g))) % ((2 << f.dom.n) - 1)
 
 
 def closed_pair_representation(space: FiniteSpace, e: PointSet) -> tuple[tuple[PointSet, PointSet], ...]:
@@ -369,32 +390,6 @@ def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> SpaceMap | None:
     if not extend(0):
         return None
     return SpaceMap(a, b, tuple(assign[x] for x in range(a.n)))
-
-
-@dataclass(frozen=True)
-class BRetractEvidence:
-    section: SpaceMap
-    retraction: SpaceMap
-    retraction_fixes_domain: bool
-    image_is_b_dense: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.retraction_fixes_domain and self.image_is_b_dense
-
-
-def is_b_retract(section: SpaceMap, retraction: SpaceMap) -> BRetractEvidence:
-    """X is a b-retract of Y via s: X -> Y, r: Y -> X when r s = id and
-    s(X) is b-dense in Y."""
-    if section.cod != retraction.dom or section.dom != retraction.cod:
-        raise MismatchedSpaces("section/retraction domains do not line up")
-    rs = compose(retraction, section)
-    return BRetractEvidence(
-        section=section,
-        retraction=retraction,
-        retraction_fixes_domain=rs.table == tuple(range(section.dom.n)),
-        image_is_b_dense=is_b_dense(section.cod, mask_of(section.table)),
-    )
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ def is_subset(a: PointSet, b: PointSet) -> bool:
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Immutable, hashable; all other operations are module functions."""
+    """Immutable, hashable; besides the order queries below and the cached
+    b_discrete flag, all operations are module functions."""
 
     n: int
     up: tuple[PointSet, ...]
@@ -76,6 +77,12 @@ class FiniteSpace:
 
     def complement(self, a: PointSet) -> PointSet:
         return self.full & ~a
+
+    @functools.cached_property
+    def b_discrete(self) -> bool:
+        """Whether every least b-open set up[z] & down[z] is {z} (see
+        b_topology), computed once per space and kept out of ==."""
+        return all(u & d == 1 << z for z, (u, d) in enumerate(zip(self.up, self.down)))
 
 
 def check_inside(space: FiniteSpace, a: PointSet) -> None:

@@ -30,11 +30,12 @@ import pytest
 from hypothesis import strategies as st
 
 from t0kit import caps, properties
-from t0kit.b_topology import b_basic_opens, b_closure, b_space
+from t0kit.b_topology import b_basic_opens, b_closure, b_space, is_b_closed
 from t0kit.constructions import (
     SpaceMap,
     closed_pair_representation,
     compose,
+    equalizer,
     identity,
     is_monotone,
     powerset_scott,
@@ -61,6 +62,7 @@ from t0kit.finite_space import (
     is_subset,
     iter_bits,
     lambda_poset,
+    mask_of,
     point,
     points_of,
     saturate,
@@ -102,6 +104,11 @@ GALLERY = [
     from_cover(4, [(0, 2), (1, 2), (1, 3)]),  # N-shape
     from_cover(5, [(0, 2), (1, 2), (2, 3), (2, 4)]),  # bow tie
 ]
+
+
+# Points 0 and 1 share their up and down masks: no partial order, so
+# is_b_closed cannot take its discrete branch on it.
+NOT_AN_ORDER = FiniteSpace(3, (3, 3, 4), (3, 3, 4))
 
 
 def space_id(space: FiniteSpace) -> str:
@@ -317,6 +324,14 @@ def b_closure_literal(space: FiniteSpace) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_b_closed_literal(space: FiniteSpace) -> tuple[bool, ...]:
+    """For every mask from -1 to 2 * full + 1: a set of points that
+    b_closure_literal maps to itself."""
+    closures = b_closure_literal(space)
+    return tuple(0 <= a <= space.full and closures[a] == a
+                 for a in range(-1, 2 * space.full + 2))
+
+
 def b_space_literal(space: FiniteSpace) -> FiniteSpace:
     """The topology generated by the basic b-open sets."""
     return from_opens(space.n, b_basic_opens(space))
@@ -357,6 +372,11 @@ def literal_topology(space: FiniteSpace):
                 inside |= u
         operators.append((cl, sat, inside))
     return tuple(operators), frozenset(opens), frozenset(closed)
+
+
+def equalizer_pointwise(f: SpaceMap, g: SpaceMap) -> int:
+    """The points whose images agree, read off the two tables."""
+    return mask_of(x for x in range(f.dom.n) if f.table[x] == g.table[x])
 
 
 def is_preimage_continuous(f: SpaceMap) -> bool:
@@ -490,6 +510,10 @@ def closed_pair_meets(space: FiniteSpace) -> tuple[tuple[int, bool], ...]:
     return tuple(out)
 
 
+def b_closed_masks(space: FiniteSpace) -> tuple[bool, ...]:
+    return tuple(is_b_closed(space, a) for a in range(-1, 2 * space.full + 2))
+
+
 def topology(space: FiniteSpace):
     return (
         tuple(
@@ -549,6 +573,19 @@ def every_table(space: FiniteSpace) -> list[tuple]:
         for cod in CODOMAINS
         for table in itertools.product(range(cod.n), repeat=space.n)
     ]
+
+
+def table_pairs(space: FiniteSpace) -> list[tuple]:
+    """Every pair of functions, continuous or not, from a space of at most
+    3 points into one of CODOMAINS; each map is shared by all its pairs,
+    so its fiber code is built by its first pair and read by the rest."""
+    if space.n > 3:
+        return []
+    pairs = []
+    for cod in CODOMAINS:
+        maps = [SpaceMap(space, cod, t) for t in itertools.product(range(cod.n), repeat=space.n)]
+        pairs += itertools.product(maps, repeat=2)
+    return pairs
 
 
 def map_ends(space: FiniteSpace) -> list[tuple]:
@@ -659,6 +696,10 @@ ROWS = [
         "every basic b-open set holding y contains up[y] & down[y], itself "
         "basic; so y is in the closure of A iff y is in up[z] & down[z] for "
         "some z in A", None, whole),
+    Row("is_b_closed", b_closed_masks, is_b_closed_literal,
+        "as b_closure; when up[z] & down[z] = {z} for every z the b-closure "
+        "of A is A cut to the carrier", None, whole,
+        seeds=lambda: [*small_spaces(), NOT_AN_ORDER]),
     Row("b_space", b_space, b_space_literal,
         "the least b-open set around x is up[x] & down[x], so bX is ordered "
         "by membership in it", None, whole),
@@ -676,6 +717,10 @@ ROWS = [
     Row("is_monotone", is_monotone, is_preimage_continuous,
         "a map of finite spaces is continuous iff it is monotone for the "
         "specialization orders", None, every_table),
+    Row("equalizer", equalizer, equalizer_pointwise,
+        "bit x of block v of a fiber code is set iff f(x) = v; blocks are "
+        "n + 1 bits wide, so the AND of two codes modulo 2^(n+1) - 1 is the "
+        "OR of its blocks", None, table_pairs),
     Row("all_continuous_maps", lambda dom, cod: tuple(all_continuous_maps(dom, cod)),
         literal_continuous_maps,
         "continuity is monotonicity, so each point's image is chosen above "

@@ -16,7 +16,6 @@ from t0kit.b_topology import (
     b_space,
     chain_pair_is_b_closed_sigma2,
     is_b_closed,
-    is_b_dense,
 )
 from t0kit.errors import NotAChainPair
 from t0kit.finite_space import (
@@ -67,7 +66,7 @@ def test_b_space_is_discrete_derived_fact(sp):
     assert is_t1(b_space(sp)).holds
     # consequently only the full set is b-dense
     for a in range(sp.full + 1):
-        assert is_b_dense(sp, a) == (a == sp.full)
+        assert (b_closure(sp, a) == sp.full) == (a == sp.full)
 
 
 def test_chain_pair_evidence():

@@ -10,15 +10,14 @@ from oracles import is_preimage_continuous, walked
 from t0kit import constructions
 from t0kit.b_topology import is_b_closed
 from t0kit.constructions import (
+    SpaceMap,
     canonical_embedding,
-    closed_pair_representation,
     compose,
     diagonal,
     equalizer,
     equalizer_maps_for_bclosed,
     find_homeomorphism,
     identity,
-    is_b_retract,
     is_homeomorphism,
     is_monotone,
     powerset_scott,
@@ -204,6 +203,19 @@ def test_equalizer_compares_spaces_by_value():
         equalizer(f, space_map(antichain(3), sigma2(), (0, 0, 1)))
 
 
+@pytest.mark.parametrize("table", [(0, 1), (0, -1, 1), (0, 2, 1)],
+                         ids=["short", "negative", "too-large"])
+def test_equalizer_refuses_malformed_tables(table):
+    # a raw SpaceMap skips space_map's checks; equalizer makes them itself
+    c3, s = chain(3), sigma2()
+    bad = SpaceMap(c3, s, table)
+    good = space_map(c3, s, (0, 0, 1))
+    message = f"table of length {len(table)} does not map 3 points into 2"
+    for f, g in [(bad, good), (good, bad)]:
+        with pytest.raises(MismatchedSpaces, match=message):
+            equalizer(f, g)
+
+
 @pytest.mark.parametrize("sp", [sigma2(), chain(3), v_poset(), antichain(3)],
                          ids=lambda s: f"n{s.n}-{hash(s) & 0xffff:04x}")
 def test_equalizer_presentation_roundtrip(sp):
@@ -213,20 +225,9 @@ def test_equalizer_presentation_roundtrip(sp):
         assert is_b_closed(sp, e)
         pres = equalizer_maps_for_bclosed(sp, e)
         assert equalizer(pres.f, pres.g) == e
+        # the closed_pair_representation oracle row checks that each pair
+        # is a pair of opens whose U | ~V holds E
         assert len(pres.pairs) == sp.n - e.bit_count()  # one per point outside E
-        for u, v in pres.pairs:
-            assert sp.is_open(u) and sp.is_open(v)
-            assert is_subset(e, u | (sp.full & ~v))
-
-
-def test_closed_pair_representation_intersects_to_input():
-    sp = v_poset()
-    for e in range(sp.full + 1):
-        pairs = closed_pair_representation(sp, e)
-        running = sp.full
-        for u, v in pairs:
-            running &= u | (sp.full & ~v)
-        assert running == e
 
 
 def test_homeomorphism_checks():
@@ -239,19 +240,6 @@ def test_homeomorphism_checks():
     assert find_homeomorphism(v_poset(), from_cover(3, [(0, 1), (0, 2)])) is None
     assert is_homeomorphism(identity(c3))
     assert not is_homeomorphism(space_map(c3, c3, (0, 0, 2)))
-
-
-def test_b_retract_evidence():
-    c3 = chain(3)
-    s = sigma2()
-    sec = space_map(s, c3, (0, 2))
-    retr = space_map(c3, s, (0, 0, 1))
-    ev = is_b_retract(sec, retr)
-    assert ev.retraction_fixes_domain
-    assert not ev.image_is_b_dense  # {0,2} is not all of the 3-chain
-    assert not ev.holds
-    ev2 = is_b_retract(identity(c3), identity(c3))
-    assert ev2.holds
 
 
 def test_diagonal():

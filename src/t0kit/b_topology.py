@@ -29,9 +29,6 @@ falls back to b_closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NotAChainPair
 from .finite_space import (
     FiniteSpace,
     PointSet,
@@ -80,34 +77,3 @@ def b_space(space: FiniteSpace) -> FiniteSpace:
         (x, y) for x in range(space.n) for y in iter_bits(space.up[x] & space.down[x])
     ])
 
-
-@dataclass(frozen=True)
-class ChainPairEvidence:
-    pair: PointSet
-    b_closed: bool
-    b_closure_of_pair: PointSet
-    homeomorphism_to_sierpinski: tuple[int, ...] | None
-
-    @property
-    def holds(self) -> bool:
-        return self.b_closed and self.homeomorphism_to_sierpinski is not None
-
-
-def chain_pair_is_b_closed_sigma2(space: FiniteSpace, x1: int, x2: int) -> ChainPairEvidence:
-    """For x1 < x2, check that {x1, x2} is b-closed and that the subspace
-    on it is homeomorphic to the Sierpinski space; returns the evidence."""
-    if x1 == x2 or not space.leq(x1, x2):
-        raise NotAChainPair(f"need x1 < x2, got {x1}, {x2}")
-    from .constructions import find_homeomorphism, subspace
-    from .finite_space import sigma2
-
-    pair = (1 << x1) | (1 << x2)
-    cl_b = b_closure(space, pair)
-    sub = subspace(space, pair)
-    homeo = find_homeomorphism(sub.space, sigma2())
-    return ChainPairEvidence(
-        pair=pair,
-        b_closed=cl_b == pair,
-        b_closure_of_pair=cl_b,
-        homeomorphism_to_sierpinski=None if homeo is None else homeo.table,
-    )

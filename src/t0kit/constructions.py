@@ -149,11 +149,6 @@ class ProductResult:
             out.append(c)
         return tuple(reversed(out))
 
-    def projection(self, k: int) -> SpaceMap:
-        """The continuous map onto factor k, built on demand."""
-        table = tuple(self.coords(i)[k] for i in range(self.space.n))
-        return SpaceMap(self.space, self.factors[k], table)
-
 
 def product(factors: Sequence[FiniteSpace]) -> ProductResult:
     """Finite product; the empty product is the one-point space.
@@ -220,25 +215,6 @@ class SierpinskiPower:
 
 def sierpinski_power(m: int) -> SierpinskiPower:
     return SierpinskiPower(product([sigma2()] * m).space, m)
-
-
-def powerset_scott(m: int) -> FiniteSpace:
-    """The powerset of an m-element set under inclusion, as a space.
-
-    Points are subset bitmasks; up-masks (supersets) and down-masks
-    (subsets) are filled in by the subset-sum sweep, one bit at a time.
-    """
-    caps.guard(1 << m, caps.cap("product"), "powerset carrier size")
-    size = 1 << m
-    up = [1 << s for s in range(size)]
-    down = [1 << s for s in range(size)]
-    for j in range(m):
-        for s in range(size):
-            if not (s >> j) & 1:
-                up[s] |= up[s | (1 << j)]
-            else:
-                down[s] |= down[s ^ (1 << j)]
-    return FiniteSpace(size, tuple(up), tuple(down))
 
 
 def _codes(n: int, sets: Sequence[PointSet]) -> tuple[int, ...]:
@@ -391,20 +367,3 @@ def find_homeomorphism(a: FiniteSpace, b: FiniteSpace) -> SpaceMap | None:
         return None
     return SpaceMap(a, b, tuple(assign[x] for x in range(a.n)))
 
-
-@dataclass(frozen=True)
-class DiagonalResult:
-    map: SpaceMap
-    product: ProductResult
-
-
-def diagonal(maps: Sequence[SpaceMap]) -> DiagonalResult:
-    """The tupling x -> (f_1(x), ..., f_k(x)) into the product of codomains."""
-    if not maps:
-        raise MismatchedSpaces("diagonal of an empty family is ambiguous")
-    dom = maps[0].dom
-    if any(f.dom != dom for f in maps):
-        raise MismatchedSpaces("diagonal needs a common domain")
-    prod = product([f.cod for f in maps])
-    table = tuple(prod.index([f.table[x] for f in maps]) for x in range(dom.n))
-    return DiagonalResult(space_map(dom, prod.space, table), prod)

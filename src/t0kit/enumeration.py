@@ -89,10 +89,6 @@ def canonical_form(space: FiniteSpace) -> CanonicalForm:
     return CanonicalForm(n, best_key, best_relabel)
 
 
-def canonicalize(space: FiniteSpace) -> FiniteSpace:
-    return relabel_space(space, canonical_form(space).relabel)
-
-
 def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
     """All T0 spaces on n points up to homeomorphism, canonically labeled.
 

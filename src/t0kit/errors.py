@@ -41,10 +41,6 @@ class NotBClosed(T0KitError):
     pass
 
 
-class NotAChainPair(T0KitError):
-    pass
-
-
 class EmptyCarrier(T0KitError):
     pass
 

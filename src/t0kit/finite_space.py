@@ -218,11 +218,6 @@ def dual(space: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(space.n, space.down, space.up)
 
 
-def all_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
-    full = space.full
-    return tuple(sorted(full & ~u for u in all_opens(space)))
-
-
 def closure(space: FiniteSpace, a: PointSet) -> PointSet:
     """Smallest closed superset; closed sets are down-sets."""
     check_inside(space, a)
@@ -279,9 +274,10 @@ def irreducible_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
     member holding x, hence all of F.  With maximal points x != y, the
     closure of x and the closure of the other maximal points are two
     proper closed subsets covering F.  The empty set has no maximal point.
+    The closed sets are the down-sets, so the opens of the dual.
     """
     out = []
-    for f in all_closed_sets(space):
+    for f in all_opens(dual(space)):
         maximal = [x for x in iter_bits(f) if space.up[x] & f == 1 << x]
         if len(maximal) == 1:
             out.append(f)
@@ -312,8 +308,3 @@ def point() -> FiniteSpace:
 def v_poset() -> FiniteSpace:
     """Two minimal points 0, 1 under a single top 2."""
     return from_order(3, [(0, 2), (1, 2)])
-
-
-def lambda_poset() -> FiniteSpace:
-    """One bottom 0 under two maximal points 1, 2."""
-    return from_order(3, [(0, 1), (0, 2)])

@@ -13,8 +13,9 @@ seeds (by default every space of at most 5 points plus GALLERY), and
 over random_posets.  A new reduced tier is one more row here and needs
 no new test function.
 
-The shared test helpers GALLERY, random_posets and top_cone live here
-too, so that each is defined once.
+The shared test helpers GALLERY (with lambda_poset), random_posets and
+top_cone live here too, so that each is defined once, as do the test-only
+builders powerset_scott and all_closed_sets.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from t0kit.constructions import (
     equalizer,
     identity,
     is_monotone,
-    powerset_scott,
     preimage,
     product,
     sierpinski_power,
@@ -48,7 +48,6 @@ from t0kit.constructions import (
 from t0kit.enumeration import all_continuous_maps, continuous_maps_list, spaces_up_to
 from t0kit.finite_space import (
     FiniteSpace,
-    all_closed_sets,
     all_opens,
     antichain,
     chain,
@@ -61,7 +60,6 @@ from t0kit.finite_space import (
     is_directed,
     is_subset,
     iter_bits,
-    lambda_poset,
     mask_of,
     point,
     points_of,
@@ -90,6 +88,12 @@ from t0kit.reflection_lab import (
 )
 
 # Shared helpers.
+
+
+def lambda_poset() -> FiniteSpace:
+    """One bottom 0 under two maximal points 1, 2."""
+    return from_order(3, [(0, 1), (0, 2)])
+
 
 GALLERY = [
     point(),
@@ -136,6 +140,31 @@ def random_posets(draw):
 
 
 # Literal oracles.  Each quantifies over the sets its definition names.
+
+
+def all_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
+    """The complements of the opens."""
+    full = space.full
+    return tuple(sorted(full & ~u for u in all_opens(space)))
+
+
+def powerset_scott(m: int) -> FiniteSpace:
+    """The powerset of an m-element set under inclusion, as a space.
+
+    Points are subset bitmasks; up-masks (supersets) and down-masks
+    (subsets) are filled in by the subset-sum sweep, one bit at a time.
+    """
+    caps.guard(1 << m, caps.cap("product"), "powerset carrier size")
+    size = 1 << m
+    up = [1 << s for s in range(size)]
+    down = [1 << s for s in range(size)]
+    for j in range(m):
+        for s in range(size):
+            if not (s >> j) & 1:
+                up[s] |= up[s | (1 << j)]
+            else:
+                down[s] |= down[s ^ (1 << j)]
+    return FiniteSpace(size, tuple(up), tuple(down))
 
 
 def literal_irreducible_closed_sets(space: FiniteSpace) -> tuple[int, ...]:

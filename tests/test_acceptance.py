@@ -7,12 +7,13 @@ limits.  Criteria 1, 2, 3, 5 and 6 assert on reflection_lab reports."""
 
 import time
 
+from oracles import powerset_scott
+
 from t0kit import caps, reflection_lab
 from t0kit.cli import _corpus_rows
 from t0kit.constructions import (
     compose,
     find_homeomorphism,
-    powerset_scott,
     sierpinski_power,
 )
 from t0kit.reflection_lab import (

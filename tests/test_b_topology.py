@@ -9,20 +9,8 @@ regression fact here, never an assumption in the code."""
 import pytest
 from oracles import BY_NAME, GALLERY, space_id, walk
 
-from t0kit.b_topology import (
-    ChainPairEvidence,
-    b_basic_opens,
-    b_closure,
-    b_space,
-    chain_pair_is_b_closed_sigma2,
-    is_b_closed,
-)
-from t0kit.errors import NotAChainPair
-from t0kit.finite_space import (
-    antichain,
-    chain,
-    sigma2,
-)
+from t0kit.b_topology import b_basic_opens, b_closure, b_space, is_b_closed
+from t0kit.finite_space import chain, sigma2
 from t0kit.properties import is_t1
 
 
@@ -68,26 +56,3 @@ def test_b_space_is_discrete_derived_fact(sp):
     for a in range(sp.full + 1):
         assert (b_closure(sp, a) == sp.full) == (a == sp.full)
 
-
-def test_chain_pair_evidence():
-    sp = chain(4)
-    ev = chain_pair_is_b_closed_sigma2(sp, 1, 3)
-    assert ev.holds
-    assert ev.b_closed and ev.b_closure_of_pair == 0b1010
-    assert ev.homeomorphism_to_sierpinski == (0, 1)
-
-
-@pytest.mark.parametrize("b_closed, homeo", [(False, (0, 1)), (True, None)])
-def test_chain_pair_evidence_needs_both_conjuncts(b_closed, homeo):
-    # on finite T0 input both always hold, so only a built record shows it
-    ev = ChainPairEvidence(0b11, b_closed, 0b11, homeo)
-    assert ev.holds is False
-
-
-def test_chain_pair_rejects_non_pairs():
-    with pytest.raises(NotAChainPair):
-        chain_pair_is_b_closed_sigma2(chain(3), 2, 0)  # wrong way round
-    with pytest.raises(NotAChainPair):
-        chain_pair_is_b_closed_sigma2(antichain(2), 0, 1)  # incomparable
-    with pytest.raises(NotAChainPair):
-        chain_pair_is_b_closed_sigma2(chain(3), 1, 1)

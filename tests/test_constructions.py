@@ -5,7 +5,7 @@ against their literal oracles in tests/oracles.py; maps that appear
 here are checked both monotone and preimage-continuous."""
 
 import pytest
-from oracles import is_preimage_continuous, walked
+from oracles import is_preimage_continuous, powerset_scott, walked
 
 from t0kit import constructions
 from t0kit.b_topology import is_b_closed
@@ -13,14 +13,12 @@ from t0kit.constructions import (
     SpaceMap,
     canonical_embedding,
     compose,
-    diagonal,
     equalizer,
     equalizer_maps_for_bclosed,
     find_homeomorphism,
     identity,
     is_homeomorphism,
     is_monotone,
-    powerset_scott,
     preimage,
     product,
     sierpinski_power,
@@ -94,14 +92,6 @@ def test_product_against_literal_oracle():
     # index, coords, up and down of [sigma2, chain(3)], [v_poset, antichain(2),
     # chain(3)], [v_poset] and [sigma2] * 4, and more
     assert walked("product")
-
-
-def test_projections_continuous():
-    prod = product([sigma2(), chain(3), antichain(2)])
-    assert prod.space.n == 12
-    for k in range(3):
-        p = prod.projection(k)
-        assert is_monotone(p) and is_preimage_continuous(p)
 
 
 def test_product_index_and_coords_reject_out_of_range_values():
@@ -241,14 +231,3 @@ def test_homeomorphism_checks():
     assert is_homeomorphism(identity(c3))
     assert not is_homeomorphism(space_map(c3, c3, (0, 0, 2)))
 
-
-def test_diagonal():
-    c3 = chain(3)
-    s = sigma2()
-    f = space_map(c3, s, (0, 0, 1))
-    g = space_map(c3, s, (0, 1, 1))
-    d = diagonal([f, g])
-    for x in range(3):
-        assert d.product.coords(d.map.table[x]) == (f.table[x], g.table[x])
-    with pytest.raises(MismatchedSpaces):
-        diagonal([f, space_map(s, s, (0, 1))])

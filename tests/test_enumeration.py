@@ -16,7 +16,6 @@ from t0kit.constructions import find_homeomorphism, is_homeomorphism
 from t0kit.enumeration import (
     all_spaces,
     canonical_form,
-    canonicalize,
     continuous_maps_list,
     relabel_space,
     spaces_up_to,
@@ -25,6 +24,11 @@ from t0kit.errors import CapExceeded, EmptyCarrier
 from t0kit.finite_space import FiniteSpace, antichain, chain, from_order, sigma2, v_poset
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+
+
+def canonicalize(space: FiniteSpace) -> FiniteSpace:
+    """The space relabelled by its canonical form's witness."""
+    return relabel_space(space, canonical_form(space).relabel)
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))

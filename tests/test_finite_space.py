@@ -7,7 +7,7 @@ the pairwise reducibility scan) are rows of tests/oracles.py.
 """
 
 import pytest
-from oracles import BY_NAME, GALLERY, space_id, walk
+from oracles import BY_NAME, GALLERY, lambda_poset, space_id, walk
 
 from t0kit import caps
 from t0kit.constructions import closed_pair_representation, equalizer_maps_for_bclosed
@@ -33,7 +33,6 @@ from t0kit.finite_space import (
     is_compact_saturated,
     is_directed,
     is_subset,
-    lambda_poset,
     mask_of,
     point,
     points_of,

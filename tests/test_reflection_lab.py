@@ -12,7 +12,6 @@ import pytest
 from oracles import extension_outcome, walked
 
 from t0kit import reflection_lab
-from t0kit.b_topology import ChainPairEvidence
 from t0kit.constructions import find_homeomorphism, is_monotone, space_map
 from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import BadParams, CapExceeded, EmptyCarrier, MismatchedSpaces
@@ -171,8 +170,8 @@ def test_sweep_bounds_below_one_are_refused(sweep, bad):
 
 @pytest.mark.parametrize("entry, name, fault, checked", [
     (check_finite_collapse, "b_space", lambda z: z, 3),
-    (check_chain_pairs, "chain_pair_is_b_closed_sigma2",
-     lambda *args: ChainPairEvidence(0b11, False, 0b11, None), 1),
+    (check_chain_pairs, "find_homeomorphism", lambda a, b: None, 1),
+    (check_chain_pairs, "b_closure", lambda z, a: 0, 1),
     (lambda n: check_equalizer_theorem(n)["forward"], "is_b_closed", lambda *args: False, 1),
     (check_sobrification_routes, "is_homeomorphism", lambda f: False, 1),
     (lambda n: check_subspace_reflections(n)["inclusions"], "k_closure",

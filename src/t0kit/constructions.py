@@ -130,16 +130,6 @@ class ProductResult:
     space: FiniteSpace
     factors: tuple[FiniteSpace, ...]
 
-    def index(self, coords: Sequence[int]) -> int:
-        if len(coords) != len(self.factors):
-            raise MismatchedSpaces("coordinate arity mismatch")
-        idx = 0
-        for c, s in zip(coords, self.factors):
-            if not 0 <= c < s.n:
-                raise MismatchedSpaces(f"coordinate {c} outside a factor of {s.n} points")
-            idx = idx * s.n + c
-        return idx
-
     def coords(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.space.n:
             raise MismatchedSpaces(f"index {index} outside a product of {self.space.n} points")

@@ -75,9 +75,6 @@ class FiniteSpace:
     def is_closed(self, a: PointSet) -> bool:
         return not a & ~self.full and self.is_open(self.full & ~a)
 
-    def complement(self, a: PointSet) -> PointSet:
-        return self.full & ~a
-
     @functools.cached_property
     def b_discrete(self) -> bool:
         """Whether every least b-open set up[z] & down[z] is {z} (see
@@ -188,18 +185,21 @@ def all_opens(space: FiniteSpace) -> tuple[PointSet, ...]:
     under s -> s | up[x] reaches each open once.  Cost is O(|opens| * n)
     set operations, never 2^n, but the count itself can be 2^n: guarded.
     The limit is in the cache key, so no cached result outlives its cap.
+    The scan is a plain loop: each popped set is or-ed with every up[x],
+    in point order, from the tuple bound once.
     """
     return _all_opens(space, 1 << min(space.n, caps.cap("carrier")))
 
 
 @functools.lru_cache(maxsize=2048)
 def _all_opens(space: FiniteSpace, limit: int) -> tuple[PointSet, ...]:
+    ups = space.up
     found = {0}
     frontier = [0]
     while frontier:
         s = frontier.pop()
-        for x in range(space.n):
-            t = s | space.up[x]
+        for u in ups:
+            t = s | u
             if t not in found:
                 found.add(t)
                 frontier.append(t)
@@ -245,12 +245,6 @@ def interior(space: FiniteSpace, a: PointSet) -> PointSet:
     return m
 
 
-def is_compact_saturated(space: FiniteSpace, q: PointSet) -> bool:
-    """Every subset of a finite space is compact (any open cover is a
-    finite cover already), so only saturation is a real condition."""
-    return saturate(space, q) == q
-
-
 def is_directed(space: FiniteSpace, d: PointSet) -> bool:
     """Nonempty, and every pair has an upper bound inside d."""
     if d == 0:
@@ -275,11 +269,22 @@ def irreducible_closed_sets(space: FiniteSpace) -> tuple[PointSet, ...]:
     closure of x and the closure of the other maximal points are two
     proper closed subsets covering F.  The empty set has no maximal point.
     The closed sets are the down-sets, so the opens of the dual.
+    Each closed set's bits are walked low bit first (low = rest & -rest),
+    counting the points x with up[x] & F == {x} and stopping at the second.
     """
+    up = space.up
     out = []
     for f in all_opens(dual(space)):
-        maximal = [x for x in iter_bits(f) if space.up[x] & f == 1 << x]
-        if len(maximal) == 1:
+        maximal = 0
+        rest = f
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & f == low:
+                maximal += 1
+                if maximal == 2:
+                    break
+            rest ^= low
+        if maximal == 1:
             out.append(f)
     return tuple(out)
 

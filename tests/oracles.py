@@ -13,9 +13,10 @@ seeds (by default every space of at most 5 points plus GALLERY), and
 over random_posets.  A new reduced tier is one more row here and needs
 no new test function.
 
-The shared test helpers GALLERY (with lambda_poset), random_posets and
-top_cone live here too, so that each is defined once, as do the test-only
-builders powerset_scott and all_closed_sets.
+The shared test helpers GALLERY (with lambda_poset), random_posets,
+top_cone, bottom_cone and product_index live here too, so that each is
+defined once, as do the test-only builders powerset_scott and
+all_closed_sets.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from t0kit import caps, properties
 from t0kit.b_topology import b_basic_opens, b_closure, b_space, is_b_closed
 from t0kit.constructions import (
+    ProductResult,
     SpaceMap,
     closed_pair_representation,
     compose,
@@ -46,6 +48,7 @@ from t0kit.constructions import (
     subspace,
 )
 from t0kit.enumeration import all_continuous_maps, continuous_maps_list, spaces_up_to
+from t0kit.errors import MismatchedSpaces
 from t0kit.finite_space import (
     FiniteSpace,
     all_opens,
@@ -123,6 +126,23 @@ def top_cone(k: int) -> FiniteSpace:
     return from_order(k, [(i, k - 1) for i in range(k - 1)])
 
 
+def bottom_cone(k: int) -> FiniteSpace:
+    return from_order(k, [(0, i) for i in range(1, k)])
+
+
+def product_index(prod: ProductResult, coords: tuple[int, ...]) -> int:
+    """The point of prod with the given coordinates, first coordinate
+    most significant; the inverse of prod.coords."""
+    if len(coords) != len(prod.factors):
+        raise MismatchedSpaces("coordinate arity mismatch")
+    idx = 0
+    for c, s in zip(coords, prod.factors):
+        if not 0 <= c < s.n:
+            raise MismatchedSpaces(f"coordinate {c} outside a factor of {s.n} points")
+        idx = idx * s.n + c
+    return idx
+
+
 @st.composite
 def random_posets(draw):
     """A random relation on a shuffled line of at most 8 points, closed
@@ -140,6 +160,11 @@ def random_posets(draw):
 
 
 # Literal oracles.  Each quantifies over the sets its definition names.
+
+
+def literal_opens(space: FiniteSpace) -> tuple[int, ...]:
+    """Every subset of the carrier that is open, in increasing order."""
+    return tuple(a for a in range(space.full + 1) if space.is_open(a))
 
 
 def all_closed_sets(space: FiniteSpace) -> tuple[int, ...]:
@@ -558,7 +583,7 @@ def product_tables(factors: list[FiniteSpace]):
     prod = product(factors)
     grid = itertools.product(*(range(s.n) for s in factors))
     return (
-        tuple(prod.index(xs) for xs in grid),
+        tuple(product_index(prod, xs) for xs in grid),
         tuple(prod.coords(i) for i in range(prod.space.n)),
         prod.space.up,
         prod.space.down,
@@ -700,10 +725,15 @@ class Row:
 
 
 ROWS = [
+    Row("all_opens", all_opens, literal_opens,
+        "every up-set is a union of the minimal neighbourhoods up[x], so "
+        "closing {} under s | up[x] reaches each open", None, whole),
     Row("irreducible_closed_sets", irreducible_closed_sets,
         literal_irreducible_closed_sets,
         "a nonempty closed set of a finite poset is irreducible iff it has "
-        "exactly one maximal point", None, whole),
+        "exactly one maximal point", None, whole,
+        seeds=lambda: [*small_spaces(), chain(11), antichain(8), top_cone(8),
+                       bottom_cone(8)]),
     Row("is_sober, is_co_sober, is_k_bounded_sober", reducibility_reports,
         reducibility_reports_literal,
         "as irreducible_closed_sets; co-sobriety runs it on the order dual",

@@ -8,7 +8,7 @@ walks; the tests here pin frozen values, tier selection, and what each
 reduced tier costs."""
 
 import pytest
-from oracles import GALLERY, literal_owf, literal_way_below, top_cone, walked
+from oracles import GALLERY, bottom_cone, literal_owf, literal_way_below, top_cone, walked
 
 from t0kit import caps, properties
 from t0kit.enumeration import all_spaces, spaces_up_to
@@ -184,6 +184,22 @@ def test_strong_d_scans_no_opens(monkeypatch, shape, n, directed):
         rep = is_strong_d(shape(n))
     assert rep.holds and rep.details == {"directed_sets": directed}
     assert (len(subset_calls), len(opens_calls), len(directed_calls)) == (0, 0, n)
+
+
+@pytest.mark.parametrize("shape,saturated", [
+    (chain, 17), (antichain, 65536), (top_cone, 32769), (bottom_cone, 32769),
+], ids=["chain16", "antichain16", "top_cone16", "bottom_cone16"])
+def test_reducibility_reports_at_the_carrier_cap(shape, saturated):
+    # the 16-point worst shapes: 16 irreducibles, one per point, out of up
+    # to 2^16 closed (or saturated) sets
+    sp = shape(16)
+    reports = [is_sober(sp), is_co_sober(sp), is_k_bounded_sober(sp)]
+    assert all(r.holds and r.witness is None and r.method == "exhaustive" for r in reports)
+    assert [r.details for r in reports] == [
+        {"irreducible_closed_count": 16},
+        {"saturated_count": saturated, "k_irreducible_count": 16},
+        {"irreducible_closed_count": 16, "with_existing_sup": 16},
+    ]
 
 
 def test_strong_d_refuses_an_undirected_principal_ideal():

@@ -5,6 +5,10 @@ specialization orders, and that is how they are checked at construction.
 The preimage-of-opens characterization is is_monotone's oracle in
 tests/oracles.py, beside the oracles of product and sierpinski_power and
 the pointwise table comparison that checks equalizer.
+
+A point of the Sierpinski power (Sigma2)^m is its code: coordinate k is
+bit m-1-k, as the product indexes the first coordinate most
+significant.  _codes is the one place that writes codes in that order.
 """
 
 from __future__ import annotations
@@ -39,9 +43,6 @@ class SpaceMap:
     table: tuple[int, ...]
     # the fiber code of _fibers, 0 until equalizer first reads it
     fibers: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __call__(self, x: int) -> int:
-        return self.table[x]
 
 
 def _check_table(dom: FiniteSpace, cod: FiniteSpace, table: tuple[int, ...]) -> None:
@@ -96,12 +97,11 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
 @dataclass(frozen=True)
 class SubspaceResult:
     space: FiniteSpace
-    inclusion: SpaceMap
     points: tuple[int, ...]  # points[i] = ambient index of subspace point i
 
 
 def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
-    """Subspace on a nonempty point set, with the inclusion map.
+    """Subspace on a nonempty point set; points gives the inclusion.
 
     The trace topology of an Alexandrov space restricts the order, so the
     new up/down masks are the old ones intersected with the carrier."""
@@ -120,9 +120,7 @@ def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
 
     up = tuple(compress(space.up[p]) for p in pts)
     down = tuple(compress(space.down[p]) for p in pts)
-    sub = FiniteSpace(len(pts), up, down)
-    incl = SpaceMap(sub, space, pts)
-    return SubspaceResult(sub, incl, pts)
+    return SubspaceResult(FiniteSpace(len(pts), up, down), pts)
 
 
 @dataclass(frozen=True)
@@ -186,62 +184,38 @@ def _plant(masks: list[PointSet], factor_masks: Sequence[PointSet], n: int) -> l
     return out
 
 
-@dataclass(frozen=True)
-class SierpinskiPower:
-    """(Sigma2)^m with a bitcode view: coordinate k of a point is bit k of
-    its code.  The product indexes the first coordinate most significant,
-    so coordinate k is bit m-1-k of the index, and encode is an m-bit
-    reversal: its own inverse, decoding an index back to its bitcode."""
-
-    space: FiniteSpace
-    m: int
-
-    def encode(self, bitcode: int) -> int:
-        index = 0
-        for k in range(self.m):
-            index = index << 1 | (bitcode >> k) & 1
-        return index
-
-
-def sierpinski_power(m: int) -> SierpinskiPower:
-    return SierpinskiPower(product([sigma2()] * m).space, m)
+def sierpinski_power(m: int) -> FiniteSpace:
+    return product([sigma2()] * m).space
 
 
 def _codes(n: int, sets: Sequence[PointSet]) -> tuple[int, ...]:
-    """Per-point bitcodes over a list of sets: bit k of codes[x] is set
-    iff x lies in sets[k]."""
+    """Per-point codes over a list of m sets: bit m-1-k of codes[x] is
+    set iff x lies in sets[k], so codes[x] is the index of the point of
+    sierpinski_power(m) whose coordinate k is x's membership in sets[k]."""
     codes = [0] * n
+    top = len(sets) - 1
     for k, s in enumerate(sets):
         for x in iter_bits(s):
-            codes[x] |= 1 << k
+            codes[x] |= 1 << (top - k)
     return tuple(codes)
-
-
-def _map_into(space: FiniteSpace, power: SierpinskiPower, codes: Sequence[int]) -> SpaceMap:
-    """The continuous map sending x to the point of power with code codes[x]."""
-    return space_map(space, power.space, tuple(power.encode(c) for c in codes))
 
 
 @dataclass(frozen=True)
 class CanonicalEmbedding:
     """The point-separating map x -> (chi_U(x))_U into a Sierpinski power.
 
-    opens fixes the coordinate order; bitcodes[x] has bit k set iff x lies
-    in opens[k].  The power itself is materialized on demand (the carrier
-    is 2^|opens|, so it sits behind the product cap)."""
+    opens fixes the coordinate order, and bitcodes[x] is the image of x
+    as a point of sierpinski_power(len(opens)): bit m-1-k is set iff x
+    lies in opens[k] (see _codes).  The power is not built here; its
+    carrier is 2^|opens|, behind the product cap."""
 
-    space: FiniteSpace
     opens: tuple[PointSet, ...]
     bitcodes: tuple[int, ...]
-
-    def materialize(self) -> tuple[SpaceMap, SierpinskiPower]:
-        power = sierpinski_power(len(self.opens))
-        return _map_into(self.space, power, self.bitcodes), power
 
 
 def canonical_embedding(space: FiniteSpace) -> CanonicalEmbedding:
     opens = tuple(u for u in all_opens(space) if u != 0)
-    return CanonicalEmbedding(space, opens, _codes(space.n, opens))
+    return CanonicalEmbedding(opens, _codes(space.n, opens))
 
 
 def _fibers(f: SpaceMap) -> int:
@@ -297,8 +271,8 @@ def equalizer_maps_for_bclosed(space: FiniteSpace, e: PointSet) -> EqualizerPres
     membership in U_k | V_k, which agree exactly on U_k | ~V_k."""
     pairs = closed_pair_representation(space, e)
     power = sierpinski_power(len(pairs))
-    f = _map_into(space, power, _codes(space.n, [u for u, _ in pairs]))
-    g = _map_into(space, power, _codes(space.n, [u | v for u, v in pairs]))
+    f = space_map(space, power, _codes(space.n, [u for u, _ in pairs]))
+    g = space_map(space, power, _codes(space.n, [u | v for u, v in pairs]))
     return EqualizerPresentation(f, g, pairs)
 
 

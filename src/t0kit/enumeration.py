@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from . import caps
@@ -74,19 +75,19 @@ def canonical_form(space: FiniteSpace) -> CanonicalForm:
     for x in range(n):
         classes.setdefault(colors[x], []).append(x)
     blocks = [classes[c] for c in sorted(classes)]
-    best_key: tuple[PointSet, ...] | None = None
-    best_relabel: tuple[int, ...] | None = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        order = [x for block in perms for x in block]  # order[new] = old
-        relabel = [0] * n
-        for new, old in enumerate(order):
-            relabel[old] = new
-        key = tuple(permute_mask(space.up[old], tuple(relabel)) for old in order)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_relabel = tuple(relabel)
-    assert best_key is not None and best_relabel is not None
-    return CanonicalForm(n, best_key, best_relabel)
+
+    def candidates() -> Iterator[tuple[tuple[PointSet, ...], tuple[int, ...]]]:
+        for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+            order = [x for block in perms for x in block]  # order[new] = old
+            relabel = [0] * n
+            for new, old in enumerate(order):
+                relabel[old] = new
+            perm = tuple(relabel)
+            yield tuple(permute_mask(space.up[old], perm) for old in order), perm
+
+    # min keeps the first relabelling that reaches the least key
+    key, relabel = min(candidates(), key=itemgetter(0))
+    return CanonicalForm(n, key, relabel)
 
 
 def all_spaces(n: int) -> tuple[FiniteSpace, ...]:

@@ -200,12 +200,7 @@ def way_below_opens(space: FiniteSpace, u: PointSet, v: PointSet) -> bool:
     all-families quantifier is the oracle in tests/oracles.py."""
     if not space.is_open(u) or not space.is_open(v):
         raise NotOpen("way_below_opens needs two open sets")
-    return _way_below_in(all_opens(space), u, v)
-
-
-def _way_below_in(opens: tuple[PointSet, ...], u: PointSet, v: PointSet) -> bool:
-    """way_below_opens on opens the caller already holds (all of them)."""
-    return all(is_subset(u, t) for t in opens if is_subset(v, t))
+    return all(is_subset(u, t) for t in all_opens(space) if is_subset(v, t))
 
 
 def _owf_counted(space: FiniteSpace) -> PropertyReport:
@@ -249,7 +244,7 @@ def _owf_structural(space: FiniteSpace) -> PropertyReport:
     Non-Hausdorff Topology and Domain Theory, ch. 8) settle the property:
 
     1. A finite open is compact, so way-below on the opens is inclusion
-       (_way_below_in computes exactly that).
+       (way_below_opens computes exactly that).
     2. A finite family filtered for inclusion contains its least member
        L, the intersection of the family; any open U absorbing the
        intersection therefore absorbs the member L.

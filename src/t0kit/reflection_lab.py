@@ -36,6 +36,7 @@ from .constructions import (
     is_homeomorphism,
     preimage,
     product,
+    sierpinski_power,
     space_map,
     subspace,
 )
@@ -124,14 +125,17 @@ def sobrify_irr(space: FiniteSpace) -> SobrificationResult:
 
 def sobrify_bclosure(space: FiniteSpace) -> SobrificationResult:
     """Embed canonically into the Sierpinski power over the nonempty
-    opens, take the b-closure of the image, and corestrict."""
+    opens, take the b-closure of the image, and corestrict.  The
+    embedding's codes are its image points; the unit's monotonicity
+    check into the subspace covers the embedding's."""
     embedding = canonical_embedding(space)
-    emb, power = embedding.materialize()
-    image = mask_of(emb.table)
-    closed = b_closure(power.space, image)
-    sub = subspace(power.space, closed)
+    codes = embedding.bitcodes
+    power = sierpinski_power(len(embedding.opens))
+    image = mask_of(codes)
+    closed = b_closure(power, image)
+    sub = subspace(power, closed)
     pos = {p: i for i, p in enumerate(sub.points)}
-    unit = space_map(space, sub.space, tuple(pos[emb.table[x]] for x in range(space.n)))
+    unit = space_map(space, sub.space, tuple(pos[c] for c in codes))
     return SobrificationResult(
         space=sub.space,
         unit=unit,

@@ -205,8 +205,8 @@ def check_cosober_alexandrov(bound: int = 50) -> Verdict:
     split_checked = 0
     for a in range(0, bound):
         for b in range(a, bound):
-            merged = union(up_set(a), up_set(b))
-            assert merged == up_set(min(a, b))
+            if union(up_set(a), up_set(b)) != up_set(min(a, b)):
+                raise AssertionError(f"up({a}) | up({b}) is not up({min(a, b)})")
             split_checked += 1
     sat_points = all(
         space.min_of(up_set(n)) == n and space.saturate(down_set(n)) == full_alex()

@@ -50,15 +50,14 @@ def truncate(space: SymbolicSpace, bound: int | None = None, **params) -> Finite
 
     The chain-like spaces take a single bound; the two-dimensional dcpo
     handles take columns and height (bound sets both when given alone).
+    A size the caller leaves out keeps the handle's own default.
     """
     if isinstance(space, (JohnstoneSpace, KnSubspace)):
-        columns = params.pop("columns", bound)
-        height = params.pop("height", bound if bound is not None else 3)
-        if params:
-            raise BadParams(f"unknown truncation parameters {sorted(params)}")
-        if columns is None:
-            columns = 3
-        return space.truncate(columns=columns, height=height)
+        unknown = sorted(set(params) - {"columns", "height"})
+        if unknown:
+            raise BadParams(f"unknown truncation parameters {unknown}")
+        sizes = {} if bound is None else {"columns": bound, "height": bound}
+        return space.truncate(**{**sizes, **params})
     if params:
         raise BadParams(f"unknown truncation parameters {sorted(params)}")
     if bound is None:

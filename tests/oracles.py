@@ -789,7 +789,7 @@ ROWS = [
         "the product order is componentwise, so up[(c, a)] is up[a] shifted "
         "to slot d * n for each d in up[c] and ORed over those slots", None,
         factor_lists),
-    Row("sierpinski_power", lambda m: sierpinski_power(m).space, powerset_scott,
+    Row("sierpinski_power", sierpinski_power, powerset_scott,
         "the power of sigma2 is the powerset under inclusion", None,
         power_exponent, seeds=lambda: (chain(k) for k in range(1, 14))),
     Row("is_reflection", is_reflection, is_reflection_by_scan,

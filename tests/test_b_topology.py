@@ -7,7 +7,7 @@ That the b-topology of a finite T0 space is discrete is a derived
 regression fact here, never an assumption in the code."""
 
 import pytest
-from oracles import BY_NAME, GALLERY, space_id, walk
+from oracles import BY_NAME, GALLERY, space_id, walked
 
 from t0kit.b_topology import b_basic_opens, b_closure, b_space, is_b_closed
 from t0kit.finite_space import chain, sigma2
@@ -27,7 +27,8 @@ def test_chain3_basic_opens_frozen():
 
 @pytest.mark.parametrize("sp", GALLERY, ids=space_id)
 def test_b_closure_matches_literal_base_quantifier(sp):
-    walk(BY_NAME["b_closure"], [(sp,)])
+    # the b_closure row walks every GALLERY space; this id reads that one walk
+    assert sp in BY_NAME["b_closure"].seeds() and walked("b_closure")
 
 
 @pytest.mark.parametrize("sp", GALLERY, ids=space_id)

@@ -74,7 +74,8 @@ def test_subspace_of_chain():
     sub = subspace(chain(4), mask_of([0, 2, 3]))
     assert sub.space == chain(3)
     assert sub.points == (0, 2, 3)
-    assert is_monotone(sub.inclusion) and is_preimage_continuous(sub.inclusion)
+    inclusion = space_map(sub.space, chain(4), sub.points)
+    assert is_monotone(inclusion) and is_preimage_continuous(inclusion)
     with pytest.raises(EmptyCarrier):
         subspace(chain(4), 0)
 
@@ -122,27 +123,25 @@ def test_empty_product_is_point():
 
 
 def test_sierpinski_power_codes():
+    # a point is its code, and the order on codes is subset inclusion
     pw = sierpinski_power(3)
-    assert pw.space.n == 8
-    for code in range(8):
-        assert pw.encode(pw.encode(code)) == code  # encode is its own inverse
-    # order on codes is subset inclusion
+    assert pw.n == 8
     for c1 in range(8):
         for c2 in range(8):
-            assert pw.space.leq(pw.encode(c1), pw.encode(c2)) == is_subset(c1, c2)
+            assert pw.leq(c1, c2) == is_subset(c1, c2)
 
 
 def test_sierpinski_power_bit_convention():
-    # coordinate k is bit k of the code and bit m-1-k of the point index
-    assert [sierpinski_power(3).encode(c) for c in range(8)] == [0, 4, 2, 6, 1, 5, 3, 7]
+    # coordinate k is bit m-1-k of the code, which is the point's product index
+    sets = [0b011, 0b110, 0b100]
+    assert constructions._codes(3, sets) == (0b100, 0b110, 0b011)
     for m in range(6):
-        pw = sierpinski_power(m)
         prod = product([sigma2()] * m)
-        assert pw.space == prod.space
+        assert sierpinski_power(m) == prod.space
         for code in range(1 << m):
-            idx = product_index(prod, tuple((code >> k) & 1 for k in range(m)))
-            assert pw.encode(code) == idx
-            assert pw.encode(idx) == code
+            coords = tuple((code >> (m - 1 - k)) & 1 for k in range(m))
+            assert product_index(prod, coords) == code
+            assert prod.coords(code) == coords
 
 
 def test_powerset_scott_frozen():
@@ -155,11 +154,11 @@ def test_powerset_scott_frozen():
 def test_canonical_embedding_sierpinski():
     emb = canonical_embedding(sigma2())
     assert emb.opens == (0b10, 0b11)
-    assert emb.bitcodes == (0b10, 0b11)
-    f, pw = emb.materialize()
+    assert emb.bitcodes == (0b01, 0b11)
+    f = space_map(sigma2(), sierpinski_power(2), emb.bitcodes)
     assert len(set(f.table)) == 2
     # the embedded pair is order-isomorphic to the domain
-    sub = subspace(pw.space, mask_of(f.table))
+    sub = subspace(f.cod, mask_of(f.table))
     assert find_homeomorphism(sub.space, sigma2()) is not None
 
 

@@ -1,5 +1,6 @@
 """No module of t0kit and no test file imports a name it never uses,
-and every public name of the finite core has a reader outside the tests.
+every public name of the finite core has a reader outside the tests,
+and no module of t0kit holds an assert statement.
 
 Each file is parsed, never imported.  A name counts as used when it is
 read anywhere in the file (annotations included) or, for the package
@@ -66,6 +67,24 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of source's assert statements, which python -O drops."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_scan_sees_an_assert():
+    assert assert_lines("def f(x):\n    assert x\n    return x\n") == [2]
+    assert assert_lines("def f(x):\n    if not x:\n        raise AssertionError(x)\n") == []
+
+
+def test_no_assert_statement_in_src():
+    # a check that must hold also under python -O raises AssertionError itself
+    found = {str(path.relative_to(ROOT)): lines
+             for path in sorted((ROOT / "src" / "t0kit").rglob("*.py"))
+             if (lines := assert_lines(path.read_text(encoding="utf-8")))}
+    assert found == {}
 
 
 def public_names(tree: ast.Module) -> dict[str, int]:

@@ -219,7 +219,7 @@ def test_strong_d_refuses_up_sets_without_a_least_member():
 
 
 def test_owf_structural_tier_scans_no_way_below_pairs(monkeypatch):
-    way_below_calls = counting(monkeypatch, "_way_below_in")
+    way_below_calls = counting(monkeypatch, "way_below_opens")
     rep = _owf_structural(antichain(6))
     assert rep.holds and rep.details["opens_count"] == 64
     assert way_below_calls == []

@@ -6,13 +6,20 @@ routes agree with each other, identity units pass the bounded universal
 property, and the negative-control predicates fail exactly the closure
 properties they are designed to fail, with machine-checkable witnesses."""
 
+import hashlib
 import inspect
 
 import pytest
-from oracles import extension_outcome, walked
+from oracles import GALLERY, extension_outcome, walked
 
 from t0kit import reflection_lab
-from t0kit.constructions import find_homeomorphism, is_monotone, space_map
+from t0kit.b_topology import is_b_closed
+from t0kit.constructions import (
+    equalizer_maps_for_bclosed,
+    find_homeomorphism,
+    is_monotone,
+    space_map,
+)
 from t0kit.enumeration import all_spaces, spaces_up_to
 from t0kit.errors import BadParams, CapExceeded, EmptyCarrier, MismatchedSpaces
 from t0kit.finite_space import (
@@ -79,11 +86,40 @@ def test_sobrify_details():
     assert res2.details["image_size"] == res2.details["b_closure_size"] == 2
 
 
+# (space.up, unit.table, details values) of sobrify_bclosure, in GALLERY order
+GALLERY_SOBRIFICATIONS = [
+    ((1,), (0,), (1, 1, 1)),
+    ((3, 2), (0, 1), (2, 2, 2)),
+    ((1, 2), (1, 0), (3, 2, 2)),
+    ((7, 6, 4), (0, 1, 2), (3, 3, 3)),
+    ((15, 14, 12, 8), (0, 1, 2, 3), (4, 4, 4)),
+    ((1, 2, 4), (2, 1, 0), (7, 3, 3)),
+    ((5, 6, 4), (1, 0, 2), (4, 3, 3)),
+    ((7, 2, 4), (0, 2, 1), (4, 3, 3)),
+    ((15, 10, 12, 8), (0, 2, 1, 3), (5, 4, 4)),
+    ((11, 2, 12, 8), (2, 0, 3, 1), (7, 4, 4)),
+    ((29, 30, 28, 8, 16), (1, 0, 2, 4, 3), (7, 5, 5)),
+]
+
+
 def test_sobrify_bclosure_v_poset_pinned():
     res = sobrify_bclosure(v_poset())
     assert res.unit.table == (1, 0, 2)
     assert res.details == {"power_exponent": 4, "image_size": 3, "b_closure_size": 3}
     assert res.space.up == (5, 6, 4)
+    # both maps into a Sierpinski power, pinned on every GALLERY space: the
+    # sobrification above, and the (f, g) tables presenting each b-closed
+    # set (122 of them, by digest)
+    for sp, (up, table, details) in zip(GALLERY, GALLERY_SOBRIFICATIONS, strict=True):
+        res = sobrify_bclosure(sp)
+        assert (res.space.up, res.unit.table) == (up, table)
+        assert res.details == dict(zip(("power_exponent", "image_size", "b_closure_size"), details))
+    tables = [(p.f.table, p.g.table)
+              for sp in GALLERY for e in range(sp.full + 1) if is_b_closed(sp, e)
+              for p in [equalizer_maps_for_bclosed(sp, e)]]
+    assert len(tables) == 122
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+        "b366a5d694de0a33541f550ab304b3db9772b7abec5720a06c8928dd7ad3f04b")
 
 
 def test_k_closure_sober_is_identity_on_carriers():

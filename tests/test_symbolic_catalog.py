@@ -57,6 +57,12 @@ def test_truncate_dispatch():
         truncate(catalog("johnstone"), rows=2)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_truncate_keeps_the_handle_defaults(k):
+    # johnstone_kn's default columns lie beyond its k deleted ones
+    assert truncate(catalog("johnstone_kn", n=k)).n == KnSubspace(k).truncate().n
+
+
 @pytest.mark.parametrize(
     "name", ["nat_cofinite", "nat_alexandrov", "scott_q03", "scott_q03_y"]
 )

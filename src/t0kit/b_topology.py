@@ -15,11 +15,15 @@ assumed in advance.  The literal quantifier over every basic set is
 b_closure's oracle in tests/oracles.py, and the topology generated by
 b_basic_opens is b_space's.
 
-is_b_closed reads the space's cached b_discrete flag: when every least
+is_b_closed reads the space's b_discrete flag: when every least
 b-open set up[z] & down[z] is {z}, the b-closure of A is A cut to the
 carrier, so A is b-closed iff it has no bit outside it.  The flag costs
 one pass over the points, once per space, and the equalizer sweeps ask
-is_b_closed once per pair of maps on the same few spaces.  b_closure
+is_b_closed once per pair of maps on the same few spaces.  It lives in
+a slot of the frozen FiniteSpace, None until is_b_closed first computes
+and stores it, not in a functools.cached_property: that would fill the
+instance dict, and on CPython 3.11 a filled instance dict makes every
+later attribute read on the space about 3x slower.  b_closure
 does not read it: its callers close one set of a space once, as
 sobrify_bclosure does on a Sierpinski power of up to 4096 points, where
 the pass would cost more than the O(|A|) loop it replaces.  When the
@@ -65,7 +69,11 @@ def b_closure(space: FiniteSpace, a: PointSet) -> PointSet:
 def is_b_closed(space: FiniteSpace, a: PointSet) -> bool:
     """Whether A is its own b-closure; bits outside the carrier make it
     not b-closed."""
-    if space.b_discrete:
+    discrete = space.b_discrete
+    if discrete is None:
+        discrete = all(u & d == 1 << z for z, (u, d) in enumerate(zip(space.up, space.down)))
+        object.__setattr__(space, "b_discrete", discrete)
+    if discrete:
         return a >> space.n == 0
     return b_closure(space, a) == a
 

@@ -89,7 +89,8 @@ def identity(space: FiniteSpace) -> SpaceMap:
 
 def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     """g after f."""
-    if f.cod != g.dom:
+    # identity first, as in equalizer: a FiniteSpace == compares whole tuples
+    if f.cod is not g.dom and f.cod != g.dom:
         raise MismatchedSpaces("compose: codomain of the first map is not the domain of the second")
     return SpaceMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
@@ -240,9 +241,10 @@ def equalizer(f: SpaceMap, g: SpaceMap) -> PointSet:
     set, which is below 2^n and so its own residue.  The codes are built
     on first use, so compose and the map streams never pay for them."""
     # identity first: a FiniteSpace == compares whole tuples
-    if (f.dom is not g.dom and f.dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
+    dom = f.dom
+    if (dom is not g.dom and dom != g.dom) or (f.cod is not g.cod and f.cod != g.cod):
         raise MismatchedSpaces("equalizer needs a parallel pair")
-    return ((f.fibers or _fibers(f)) & (g.fibers or _fibers(g))) % ((2 << f.dom.n) - 1)
+    return ((f.fibers or _fibers(f)) & (g.fibers or _fibers(g))) % ((2 << dom.n) - 1)
 
 
 def closed_pair_representation(space: FiniteSpace, e: PointSet) -> tuple[tuple[PointSet, PointSet], ...]:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import caps
 from .constructions import SpaceMap
-from .errors import CapExceeded, EmptyCarrier
+from .errors import CapExceeded, EmptyCarrier, MismatchedSpaces
 from .finite_space import FiniteSpace, PointSet, all_opens, dual, iter_bits
 
 
@@ -39,7 +39,11 @@ def permute_mask(mask: PointSet, relabel: tuple[int, ...]) -> PointSet:
 
 
 def relabel_space(space: FiniteSpace, relabel: tuple[int, ...]) -> FiniteSpace:
+    """The space with point x renamed relabel[x]; relabel must be a
+    permutation of the points."""
     n = space.n
+    if sorted(relabel) != list(range(n)):
+        raise MismatchedSpaces(f"relabelling {tuple(relabel)} is not a permutation of the {n} points")
     up = [0] * n
     down = [0] * n
     for x in range(n):

@@ -12,7 +12,7 @@ Point sets everywhere are ints with bit i standing for point i.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import caps
@@ -50,14 +50,17 @@ def is_subset(a: PointSet, b: PointSet) -> bool:
     return a & ~b == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteSpace:
-    """Immutable, hashable; besides the order queries below and the cached
-    b_discrete flag, all operations are module functions."""
+    """Immutable, hashable; besides the order queries below, all
+    operations are module functions.  The b_discrete slot is filled by
+    b_topology.is_b_closed and kept out of ==, hash and repr."""
 
     n: int
     up: tuple[PointSet, ...]
     down: tuple[PointSet, ...]
+    # None until is_b_closed first asks
+    b_discrete: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def full(self) -> PointSet:
@@ -74,12 +77,6 @@ class FiniteSpace:
 
     def is_closed(self, a: PointSet) -> bool:
         return not a & ~self.full and self.is_open(self.full & ~a)
-
-    @functools.cached_property
-    def b_discrete(self) -> bool:
-        """Whether every least b-open set up[z] & down[z] is {z} (see
-        b_topology), computed once per space and kept out of ==."""
-        return all(u & d == 1 << z for z, (u, d) in enumerate(zip(self.up, self.down)))
 
 
 def check_inside(space: FiniteSpace, a: PointSet) -> None:

@@ -192,6 +192,18 @@ def test_equalizer_compares_spaces_by_value():
         equalizer(f, space_map(antichain(3), sigma2(), (0, 0, 1)))
 
 
+def test_compose_compares_spaces_by_value():
+    # an equal but distinct middle space composes like the same object
+    f = space_map(chain(3), sigma2(), (0, 0, 1))
+    g = space_map(sigma2(), chain(3), (0, 2))
+    assert f.cod is not g.dom and f.cod == g.dom
+    assert compose(g, f).table == (0, 0, 2)
+    assert compose(g, f) == compose(space_map(f.cod, g.cod, g.table), f)
+    # a mismatch by value on equal carriers is still refused
+    with pytest.raises(MismatchedSpaces):
+        compose(identity(antichain(3)), identity(chain(3)))
+
+
 @pytest.mark.parametrize("table", [(0, 1), (0, -1, 1), (0, 2, 1)],
                          ids=["short", "negative", "too-large"])
 def test_equalizer_refuses_malformed_tables(table):

@@ -8,6 +8,7 @@ continuous-map stream against the filter-all-tables oracle."""
 
 import itertools
 import random
+import re
 
 import pytest
 from oracles import walked
@@ -20,7 +21,7 @@ from t0kit.enumeration import (
     relabel_space,
     spaces_up_to,
 )
-from t0kit.errors import CapExceeded, EmptyCarrier
+from t0kit.errors import CapExceeded, EmptyCarrier, MismatchedSpaces
 from t0kit.finite_space import FiniteSpace, antichain, chain, from_order, sigma2, v_poset
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -124,6 +125,15 @@ def test_canonical_form_matches_homeomorphism_search():
         rng.shuffle(perm)
         f = find_homeomorphism(a, relabel_space(a, tuple(perm)))
         assert f is not None and is_homeomorphism(f)
+
+
+@pytest.mark.parametrize("relabel", [(0, 0, 1), (0, 1), (0, 1, 2, 3)],
+                         ids=["repeated", "short", "long"])
+def test_relabel_space_refuses_a_relabelling_that_is_not_a_permutation(relabel):
+    # (0, 0, 1) would leave point 2 with an empty up-set: no space
+    message = re.escape(f"relabelling {relabel} is not a permutation of the 3 points")
+    with pytest.raises(MismatchedSpaces, match=message):
+        relabel_space(chain(3), relabel)
 
 
 def test_canonicalize_fixes_its_own_output():

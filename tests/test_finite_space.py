@@ -7,10 +7,11 @@ the pairwise reducibility scan) are rows of tests/oracles.py.
 """
 
 import pytest
-from oracles import BY_NAME, GALLERY, lambda_poset, space_id, walked
+from oracles import BY_NAME, GALLERY, NOT_AN_ORDER, lambda_poset, space_id, walked
 
 from t0kit import caps
-from t0kit.constructions import closed_pair_representation, equalizer_maps_for_bclosed
+from t0kit.b_topology import b_closure, is_b_closed
+from t0kit.constructions import closed_pair_representation, equalizer_maps_for_bclosed, identity
 from t0kit.errors import (
     CapExceeded,
     EmptyCarrier,
@@ -21,6 +22,7 @@ from t0kit.errors import (
     NotT0,
 )
 from t0kit.finite_space import (
+    FiniteSpace,
     all_opens,
     antichain,
     chain,
@@ -100,6 +102,23 @@ def test_sierpinski_shape():
     assert all_opens(sp) == (0, 0b10, 0b11)
     assert sp.is_open(0b10) and not sp.is_open(0b01)
     assert sp.is_closed(0b01)
+
+
+def test_slotted_space_fills_b_discrete_on_first_use():
+    # no instance dict: a filled one slows every later attribute read
+    sp, fresh = chain(3), chain(3)
+    assert not hasattr(sp, "__dict__") and not hasattr(identity(sp), "__dict__")
+    assert sp.b_discrete is None
+    assert is_b_closed(sp, 0b101)
+    assert sp.b_discrete is True and fresh.b_discrete is None
+    # the flag is out of ==, hash and repr
+    assert sp == fresh and hash(sp) == hash(fresh) and repr(sp) == repr(fresh)
+    # an up/down pair that is no order is not b-discrete, so is_b_closed
+    # falls back to b_closure: {0} is not b-closed, though inside the carrier
+    bad = FiniteSpace(NOT_AN_ORDER.n, NOT_AN_ORDER.up, NOT_AN_ORDER.down)
+    assert not is_b_closed(bad, 0b001) and b_closure(bad, 0b001) == 0b011
+    assert bad.b_discrete is False
+    assert is_b_closed(bad, 0b011)
 
 
 def test_masks_outside_the_carrier_are_neither_open_nor_closed():

@@ -59,7 +59,7 @@ def scoped(**limits: int):
     """
     bad = set(limits) - DEFAULTS.keys()
     if bad:
-        raise ValueError(f"unknown cap names: {sorted(bad)}")
+        raise BadParams(f"unknown cap names: {sorted(bad)}")
     token = _SCOPED.set({**_SCOPED.get(), **limits})
     try:
         yield
@@ -87,10 +87,17 @@ def guard(value: int, cap: int, what: str) -> None:
         raise CapExceeded(f"{what}: {value} exceeds cap {cap}")
 
 
+def check_int(value: Any, what: str) -> None:
+    """BadParams unless value is an int; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParams(f"{what} must be an int; got {value!r}")
+
+
 def check_bound(n: int, what: str) -> None:
-    """The one rule for a truncation size or a sample bound: below 1 is
-    BadParams ("<what> must be at least 1"), above the truncate cap is
-    CapExceeded."""
+    """The one rule for a truncation size or a sample bound: anything but
+    an int is BadParams (check_int), below 1 is BadParams ("<what> must
+    be at least 1"), above the truncate cap is CapExceeded."""
+    check_int(n, what)
     if n < 1:
         raise BadParams(f"{what} must be at least 1")
     guard(n, cap("truncate"), what)

@@ -54,7 +54,10 @@ class NotRepresentable(T0KitError):
 
 
 class BadParams(T0KitError):
-    """Catalog space parameters out of range."""
+    """A parameter out of range or of the wrong type: a catalog
+    parameter, a truncation size or sample bound, an unknown cap name
+    or point name, a verdict of unknown kind or without its bound, or
+    a certificate the symbolic checkers refuse."""
 
 
 class UnknownSpace(T0KitError):

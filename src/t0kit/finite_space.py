@@ -71,12 +71,9 @@ class FiniteSpace:
         return (self.up[x] >> y) & 1 == 1
 
     def is_open(self, a: PointSet) -> bool:
-        """An up-set inside the carrier; a mask with other bits is neither
-        open nor closed."""
+        """An up-set inside the carrier; a mask with other bits is not
+        open."""
         return not a & ~self.full and all(is_subset(self.up[x], a) for x in iter_bits(a))
-
-    def is_closed(self, a: PointSet) -> bool:
-        return not a & ~self.full and self.is_open(self.full & ~a)
 
 
 def check_inside(space: FiniteSpace, a: PointSet) -> None:

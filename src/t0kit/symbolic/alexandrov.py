@@ -66,10 +66,6 @@ def down_set(n: int) -> AlexSet:
     return AlexSet("down", n)
 
 
-def empty_alex() -> AlexSet:
-    return AlexSet("empty")
-
-
 def full_alex() -> AlexSet:
     return AlexSet("full")
 
@@ -92,41 +88,10 @@ def union(a: AlexSet, b: AlexSet) -> AlexSet:
     raise NotRepresentable("union of disjoint up and down parts is not a segment")
 
 
-def intersection(a: AlexSet, b: AlexSet) -> AlexSet:
-    if a.is_empty or b.is_empty:
-        return empty_alex()
-    if a.kind == "full":
-        return b
-    if b.kind == "full":
-        return a
-    if a.kind == b.kind == "up":
-        return up_set(max(a.n, b.n))
-    if a.kind == b.kind == "down":
-        return down_set(min(a.n, b.n))
-    u, d = (a, b) if a.kind == "up" else (b, a)
-    if u.n > d.n:
-        return empty_alex()
-    # u.n >= 1 by normal form, so the result {u.n..d.n} misses 0
-    raise NotRepresentable("a bounded segment away from 0 is not representable")
-
-
-def complement(a: AlexSet) -> AlexSet:
-    if a.kind == "empty":
-        return full_alex()
-    if a.kind == "full":
-        return empty_alex()
-    if a.kind == "up":
-        return down_set(a.n - 1)
-    return up_set(a.n + 1)
-
-
 class AlexandrovNat:
     """The naturals with the up-set topology."""
 
     name = "nat_alexandrov"
-
-    def contains(self, k: int) -> bool:
-        return k >= 0
 
     def leq(self, x: int, y: int) -> bool:
         """Specialization order: x is in the closure of y iff x <= y."""
@@ -134,19 +99,6 @@ class AlexandrovNat:
 
     def is_open(self, s: AlexSet) -> bool:
         return s.kind in ("empty", "full", "up")
-
-    def is_closed(self, s: AlexSet) -> bool:
-        return s.kind in ("empty", "full", "down")
-
-    def closure_of_point(self, k: int) -> AlexSet:
-        if k < 0:
-            raise BadParams("points are naturals")
-        return down_set(k)
-
-    def closure(self, s: AlexSet) -> AlexSet:
-        if self.is_closed(s):
-            return s
-        return full_alex()  # up-sets are cofinal, so they close to everything
 
     def saturate(self, s: AlexSet) -> AlexSet:
         if self.is_open(s):
@@ -159,26 +111,6 @@ class AlexandrovNat:
         if s.kind == "up":
             return s.n
         return 0
-
-    def directed_sup(self, s: AlexSet) -> int | None:
-        """Every subset of a chain is directed; the sup is the maximum
-        when the set is bounded and does not exist otherwise."""
-        if s.kind == "empty":
-            raise BadParams("no sup of the empty set")
-        return s.n if s.kind == "down" else None
-
-    def is_compact_saturated(self, s: AlexSet) -> bool:
-        """Saturated sets are the opens; up(n) is compact because any
-        open cover has a member containing n, and that member is a
-        final segment reaching everything above n."""
-        return self.is_open(s)
-
-    def is_k_irreducible(self, s: AlexSet) -> bool:
-        """Nonempty compact saturated sets here are final segments, and
-        up(min) recovers the whole set from any two-piece split."""
-        if not self.is_compact_saturated(s) or s.is_empty:
-            return False
-        return True
 
     def truncate(self, bound: int) -> FiniteSpace:
         """Trace on {0..bound-1}: the final segments cut down to the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .. import caps
 from ..errors import BadParams, UnknownSpace
 from ..finite_space import FiniteSpace
 from .alexandrov import AlexandrovNat
@@ -18,29 +19,28 @@ _NO_PARAMS = {
     "scott_q03_y": scott_y,
     "johnstone": JohnstoneSpace,
 }
+_WITH_N = {"scott_q03_xn": scott_xn, "johnstone_kn": KnSubspace}
 
 
 def catalog_names() -> list[str]:
-    return sorted([*_NO_PARAMS, "scott_q03_xn", "johnstone_kn"])
+    return sorted([*_NO_PARAMS, *_WITH_N])
 
 
 def catalog(name: str, **params) -> SymbolicSpace:
     """Look up an example space by name.
 
-    scott_q03_xn and johnstone_kn take n; the rest take no parameters.
+    scott_q03_xn and johnstone_kn take n, an int; the rest take no
+    parameters.
     """
     if name in _NO_PARAMS:
         if params:
             raise BadParams(f"{name} takes no parameters; got {sorted(params)}")
         return _NO_PARAMS[name]()
-    if name == "scott_q03_xn":
+    if name in _WITH_N:
         if set(params) != {"n"}:
-            raise BadParams("scott_q03_xn takes exactly the parameter n")
-        return scott_xn(int(params["n"]))
-    if name == "johnstone_kn":
-        if set(params) != {"n"}:
-            raise BadParams("johnstone_kn takes exactly the parameter n")
-        return KnSubspace(int(params["n"]))
+            raise BadParams(f"{name} takes exactly the parameter n")
+        caps.check_int(params["n"], f"{name}'s n")
+        return _WITH_N[name](params["n"])
     raise UnknownSpace(f"no catalog space named {name!r}; "
                        f"try one of {', '.join(catalog_names())}")
 

@@ -59,10 +59,6 @@ class CofiniteSet:
     def is_empty(self) -> bool:
         return not self.cofinite and not self.support
 
-    @property
-    def is_full(self) -> bool:
-        return self.cofinite and not self.support
-
     def complement(self) -> "CofiniteSet":
         return CofiniteSet(not self.cofinite, self.support)
 
@@ -101,20 +97,12 @@ class CofiniteSet:
         return f"(N+ minus {body})" if self.cofinite else body
 
 
-def finite_set(items: Iterable[int]) -> CofiniteSet:
-    return CofiniteSet(False, frozenset(items))
-
-
 def cofinite_excluding(items: Iterable[int]) -> CofiniteSet:
     return CofiniteSet(True, frozenset(items))
 
 
 def empty_set() -> CofiniteSet:
     return CofiniteSet(False, frozenset())
-
-
-def full_set() -> CofiniteSet:
-    return CofiniteSet(True, frozenset())
 
 
 @dataclass(frozen=True)
@@ -148,35 +136,13 @@ def initial_segment_complements() -> IndexedFamily:
     )
 
 
-def constant_family(value: CofiniteSet, name: str = "constant family") -> IndexedFamily:
-    return IndexedFamily(name, lambda n: value, start=1, shape="constant")
-
-
 class CofiniteNat:
     """The positive integers with the cofinite topology."""
 
     name = "nat_cofinite"
 
-    def contains(self, k: int) -> bool:
-        return k >= 1
-
     def is_open(self, s: CofiniteSet) -> bool:
         return s.is_empty or s.cofinite
-
-    def is_closed(self, s: CofiniteSet) -> bool:
-        return self.is_open(s.complement())
-
-    def closure(self, s: CofiniteSet) -> CofiniteSet:
-        return s if not s.cofinite else full_set()
-
-    def closure_of_point(self, k: int) -> CofiniteSet:
-        if k < 1:
-            raise BadParams("points are positive integers")
-        return finite_set([k])
-
-    def leq(self, x: int, y: int) -> bool:
-        """Specialization order; the space is T1, so it is equality."""
-        return x == y
 
     def way_below(self, u: CofiniteSet, v: CofiniteSet) -> bool:
         """Way-below between opens.

@@ -194,10 +194,6 @@ def singleton(q) -> QIntervalSet:
     return interval(q, q, True, True)
 
 
-def empty_q() -> QIntervalSet:
-    return QIntervalSet(())
-
-
 FULL = interval(0, 3, True, True)
 
 
@@ -220,11 +216,6 @@ class ScottQSubspace:
     def contains(self, q) -> bool:
         return Fraction(q) in self.carrier
 
-    def leq(self, x, y) -> bool:
-        """Specialization order: the numeric order on carrier points."""
-        x, y = Fraction(x), Fraction(y)
-        return self.contains(x) and self.contains(y) and x <= y
-
     def _check_subset(self, s: QIntervalSet) -> None:
         if not s <= self.carrier:
             raise BadParams("the set leaves the subspace carrier")
@@ -246,14 +237,6 @@ class ScottQSubspace:
     def is_closed(self, s: QIntervalSet) -> bool:
         self._check_subset(s)
         return self.is_open(self.carrier - s)
-
-    def closure_in(self, s: QIntervalSet) -> QIntervalSet:
-        """Smallest closed trace containing s: cut at the supremum."""
-        self._check_subset(s)
-        if s.is_empty:
-            return s
-        c, _ = s.sup_info()
-        return self.carrier & closed_prefix(c)
 
     def closure_of_point(self, q) -> QIntervalSet:
         q = Fraction(q)

@@ -276,34 +276,13 @@ class JohnstoneSpace:
 
     name = "johnstone"
 
-    def contains(self, p: Point) -> bool:
-        m, j = p
-        return m >= 1 and (j is None or j >= 1)
-
-    def leq(self, p: Point, q: Point) -> bool:
-        return leq_points(p, q)
-
-    def is_open(self, u: JohnstoneOpen) -> bool:
-        return True  # class invariant; see the module docstring
-
-    def in_closure_of(self, q: Point, p: Point) -> bool:
-        """Point closures are down-sets: q is in cl(p) iff q <= p."""
-        return leq_points(q, p)
-
-    def closure_of_point(self, p: Point) -> dict:
-        """A description of the down-set of p (finite for finite p)."""
-        m, j = check_point(p)
-        if j is not None:
-            return {"kind": "finite", "points": [(m, i) for i in range(1, j + 1)]}
-        return {"kind": "column_and_band", "column": m, "band_height": m}
-
     def truncate(self, columns: int = 3, height: int = 3) -> FiniteSpace:
         return truncate_grid(columns, height)
 
 
 def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[Point]:
-    if columns < 1 or height < 1:
-        raise BadParams("need at least one column and one height")
+    caps.check_bound(columns, "columns")
+    caps.check_bound(height, "height")
     n = max(columns - skip_finite_upto, 0) * height + columns
     caps.guard(n, caps.cap("truncate"), "truncation size")  # before the list
     pts: list[Point] = []
@@ -344,11 +323,6 @@ class KnSubspace:
     def contains(self, p: Point) -> bool:
         m, j = check_point(p)
         return j is None or m > self.n
-
-    def leq(self, p: Point, q: Point) -> bool:
-        if not (self.contains(p) and self.contains(q)):
-            raise BadParams("points must lie in the subspace")
-        return leq_points(p, q)
 
     def truncate(self, columns: int | None = None, height: int = 3) -> FiniteSpace:
         columns = columns if columns is not None else self.n + 3

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..caps import caps_summary
+from ..errors import BadParams
 
 KINDS = ("holds", "refuted", "holds_up_to")
 
@@ -29,9 +30,9 @@ class Verdict:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
+            raise BadParams(f"unknown verdict kind {self.kind!r}")
         if self.kind == "holds_up_to" and self.bound is None:
-            raise ValueError("holds_up_to requires the bound actually checked")
+            raise BadParams("holds_up_to requires the bound actually checked")
 
     @property
     def label(self) -> str:

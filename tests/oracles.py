@@ -411,7 +411,7 @@ def literal_topology(space: FiniteSpace):
     families."""
     subsets = range(space.full + 1)
     opens = [u for u in subsets if space.is_open(u)]
-    closed = [c for c in subsets if space.is_closed(c)]
+    closed = [c for c in subsets if space.is_open(space.full & ~c)]
     operators = []
     for a in subsets:
         cl = sat = space.full

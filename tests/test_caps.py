@@ -6,7 +6,7 @@ import pytest
 
 from t0kit import caps, enumeration, finite_space
 from t0kit.enumeration import all_spaces, continuous_maps_list
-from t0kit.errors import CapExceeded
+from t0kit.errors import BadParams, CapExceeded
 from t0kit.finite_space import all_opens, antichain, chain
 
 
@@ -92,7 +92,7 @@ def test_scoped_is_per_thread():
 
 
 def test_scoped_rejects_unknown_names():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         with caps.scoped(bogus=3):
             pass
 

@@ -101,7 +101,6 @@ def test_sierpinski_shape():
     assert sp.up == (0b11, 0b10)
     assert all_opens(sp) == (0, 0b10, 0b11)
     assert sp.is_open(0b10) and not sp.is_open(0b01)
-    assert sp.is_closed(0b01)
 
 
 def test_slotted_space_fills_b_discrete_on_first_use():
@@ -124,7 +123,7 @@ def test_slotted_space_fills_b_discrete_on_first_use():
 def test_masks_outside_the_carrier_are_neither_open_nor_closed():
     sp = sigma2()
     for mask in (0b100, 0b111, -1):
-        assert not sp.is_open(mask) and not sp.is_closed(mask)
+        assert not sp.is_open(mask)
     with pytest.raises(NotOpen):
         way_below_opens(sp, 0b100, 0b11)
 

@@ -1,30 +1,32 @@
 """No module of t0kit and no test file imports a name it never uses,
-every public name of the finite core has a reader outside the tests,
-and no module of t0kit holds an assert statement.
+every public name of t0kit has a reader outside the tests, and no
+module of t0kit holds an assert statement.
 
 Each file is parsed, never imported.  A name counts as used when it is
 read anywhere in the file (annotations included) or, for the package
 re-exports, listed in the module's __all__.  `from __future__` imports
 bind no name and are skipped.
 
-A public function, class or method of a finite-core module counts as
-read when its name is loaded, or read as an attribute, anywhere in
+A public function, class or method of a module under src/t0kit counts
+as read when its name is loaded, or read as an attribute, anywhere in
 src/ or perfbench/, when an __all__ under src/ lists it, or when the
 README names it in backticks (`name`, `module.name` or `name(...)`).
-Names are matched by spelling alone, so a method shares its reader with
-every attribute of that name.
+A reader sees a spelling, not its owner.  So when two or more owners (a
+class for a method, the module for a top-level name) define the same
+spelling, a reader counts for one of them only if it names the owner:
+the README backticks `Owner.name`, or ALLOWED_READERS maps Owner.name to
+a file under src/ or perfbench/ that reads the spelling.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "t0kit").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
-CORE = ["finite_space", "constructions", "b_topology", "enumeration", "reflection_lab",
-        "properties", "caps", "report", "spacefile", "errors", "cli"]
 READERS = sorted([*(ROOT / "src" / "t0kit").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
@@ -87,14 +89,15 @@ def test_no_assert_statement_in_src():
     assert found == {}
 
 
-def public_names(tree: ast.Module) -> dict[str, int]:
-    """Every top-level function and class not starting with _, and every
-    such method of those classes (as Class.method), with its line."""
+def public_names(tree: ast.Module, module: str) -> dict[str, int]:
+    """Every top-level function and class not starting with _ (as
+    module.name), and every such method of those classes (as
+    Class.method), with its line."""
     names = {}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
-            names[node.name] = node.lineno
+            names[f"{module}.{node.name}"] = node.lineno
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, functions) and not sub.name.startswith("_"):
@@ -102,8 +105,10 @@ def public_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def read_names(tree: ast.Module) -> set[str]:
-    read = set()
+def read_names(source: str) -> set[str]:
+    """Every name source loads, reads as an attribute or lists in __all__."""
+    tree = ast.parse(source)
+    read = exported_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
@@ -113,36 +118,112 @@ def read_names(tree: ast.Module) -> set[str]:
 
 
 def backticked_names(text: str) -> set[str]:
-    return set(re.findall(r"`(?:[\w.]+\.)?(\w+)(?:\([^`]*\))?`", text))
+    """Every name text puts in backticks, bare and with its owner:
+    `a.b.c(x)` gives c and b.c."""
+    names = set()
+    for dotted in re.findall(r"`([\w.]+)(?:\([^`]*\))?`", text):
+        parts = dotted.split(".")
+        names |= {parts[-1], ".".join(parts[-2:])}
+    return names
 
 
-def known_names(readers: list[str], readme: str) -> set[str]:
-    known = backticked_names(readme)
-    for reader in readers:
-        tree = ast.parse(reader)
-        known |= read_names(tree) | exported_names(tree)
-    return known
+def unread_names(modules: dict[str, str], readers: dict[str, str], readme: str,
+                 allowed: dict[str, str]) -> list[str]:
+    """The public names of modules (path -> source) that nothing reads,
+    and the allow-list entries that name no reader.
 
+    A spelling that one owner alone defines is read when any reader
+    (path -> source) reads it or the README backticks it.  A spelling
+    that two or more owners share is read, for one owner, only when the
+    README backticks Owner.name or `allowed` maps Owner.name to a reader
+    path that reads the spelling."""
+    owned = {name: (path, line) for path, source in modules.items()
+             for name, line in public_names(ast.parse(source), Path(path).stem).items()}
+    owners = Counter(name.rpartition(".")[2] for name in owned)
+    read = {path: read_names(source) for path, source in readers.items()}
+    anywhere = set().union(*read.values())
+    quoted = backticked_names(readme)
 
-def unread_names(source: str, known: set[str]) -> list[str]:
-    return sorted(f"{name} (line {line})" for name, line in public_names(ast.parse(source)).items()
-                  if name.rpartition(".")[2] not in known)
+    def allowed_reader(name: str) -> bool:
+        return name.rpartition(".")[2] in read.get(allowed.get(name), ())
+
+    def has_reader(name: str) -> bool:
+        spelling = name.rpartition(".")[2]
+        if owners[spelling] == 1:
+            return spelling in anywhere or spelling in quoted
+        return name in quoted or allowed_reader(name)
+
+    unread = [f"{name} ({path}, line {line})" for name, (path, line) in owned.items()
+              if not has_reader(name)]
+    stale = [f"allowed {name} -> {path}" for name, path in allowed.items()
+             if name not in owned or owners[name.rpartition(".")[2]] == 1
+             or not allowed_reader(name)]
+    return sorted(unread + stale)
 
 
 def test_the_scan_sees_an_unread_name():
     source = ("def used(): pass\ndef unread(): pass\ndef _private(): pass\n"
               "class C:\n    def m(self): pass\n    def _p(self): pass\n    def n(self): pass\n")
-    readers = ["used(C().m)\n"]
-    planted = ["C.n (line 7)", "unread (line 2)"]
-    assert unread_names(source, known_names(readers, "")) == planted
-    assert unread_names(source, known_names([*readers, "x.n\n__all__ = ['unread']\n"], "")) == []
-    assert unread_names(source, known_names(readers, "call `unread(x)` on `mod.n`")) == []
-    assert unread_names(source, known_names(readers, "unread and n, not in backticks")) == planted
+    readers = {"r.py": "used(C().m)\n"}
+    planted = ["C.n (mod, line 7)", "mod.unread (mod, line 2)"]
+    assert unread_names({"mod": source}, readers, "", {}) == planted
+    assert unread_names({"mod": source}, {**readers, "s.py": "x.n\n__all__ = ['unread']\n"},
+                        "", {}) == []
+    assert unread_names({"mod": source}, readers, "call `unread(x)` on `mod.n`", {}) == []
+    assert unread_names({"mod": source}, readers, "unread and n, not in backticks", {}) == planted
 
 
-def test_every_public_core_name_has_a_reader():
-    known = known_names([path.read_text(encoding="utf-8") for path in READERS],
-                        (ROOT / "README.md").read_text(encoding="utf-8"))
-    unread = {module: unread_names((ROOT / "src" / "t0kit" / f"{module}.py").read_text(
-        encoding="utf-8"), known) for module in CORE}
-    assert {module: names for module, names in unread.items() if names} == {}
+def test_the_scan_reads_a_shared_spelling_only_through_its_owner():
+    modules = {"a": "class A:\n    def n(self): pass\n",
+               "b": "class B:\n    def n(self): pass\ndef f(): pass\n"}
+    readers = {"r.py": "f(A, B, x.n)\n", "s.py": "f()\n"}
+    both = ["A.n (a, line 2)", "B.n (b, line 2)"]
+    assert unread_names(modules, readers, "`n` and `x.n`", {}) == both
+    assert unread_names(modules, readers, "`A.n`", {}) == ["B.n (b, line 2)"]
+    assert unread_names(modules, readers, "", {"A.n": "r.py", "B.n": "r.py"}) == []
+    assert unread_names(modules, readers, "", {"A.n": "r.py", "B.n": "s.py"}) == [
+        "B.n (b, line 2)", "allowed B.n -> s.py"]
+    assert unread_names(modules, readers, "`A.n` `B.n`", {"b.f": "s.py", "C.n": "r.py"}) == [
+        "allowed C.n -> r.py", "allowed b.f -> s.py"]
+
+
+# Owner.name -> a reader of a spelling that other owners share, for the
+# owners the README does not name: the reader reaches it through a
+# variable, so its text does not say which owner it means.
+SRC = "src/t0kit/"
+ALLOWED_READERS = {
+    "FiniteSpace.is_open": SRC + "properties.py",
+    "FiniteSpace.leq": SRC + "constructions.py",
+    "PropertyReport.as_tree": SRC + "cli.py",
+    "Verdict.as_tree": SRC + "cli.py",
+    "Verdict.holds": SRC + "symbolic/intervals.py",
+    "verdicts.holds": SRC + "symbolic/cofinite.py",
+    "catalog.truncate": SRC + "symbolic/__init__.py",
+    "AlexSet.is_empty": SRC + "symbolic/alexandrov.py",
+    "AlexandrovNat.is_open": SRC + "symbolic/alexandrov.py",
+    "AlexandrovNat.leq": SRC + "symbolic/alexandrov.py",
+    "AlexandrovNat.saturate": SRC + "symbolic/alexandrov.py",
+    "AlexandrovNat.truncate": SRC + "symbolic/alexandrov.py",
+    "CofiniteSet.complement": SRC + "symbolic/cofinite.py",
+    "CofiniteSet.is_empty": SRC + "symbolic/cofinite.py",
+    "CofiniteNat.is_open": SRC + "symbolic/cofinite.py",
+    "CofiniteNat.truncate": SRC + "symbolic/catalog.py",
+    "QIntervalSet.complement": SRC + "symbolic/intervals.py",
+    "QIntervalSet.is_empty": SRC + "symbolic/intervals.py",
+    "ScottQSubspace.contains": SRC + "symbolic/intervals.py",
+    "ScottQSubspace.is_open": SRC + "symbolic/intervals.py",
+    "ScottQSubspace.truncate": SRC + "symbolic/catalog.py",
+    "JohnstoneOpen.is_empty": SRC + "symbolic/johnstone.py",
+    "JohnstoneSpace.truncate": SRC + "symbolic/catalog.py",
+    "KnSubspace.contains": SRC + "symbolic/johnstone.py",
+    "KnSubspace.truncate": SRC + "symbolic/johnstone.py",
+}
+
+
+def test_every_public_name_has_a_reader():
+    modules = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "t0kit").rglob("*.py")}
+    readers = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in READERS}
+    assert unread_names(modules, readers, (ROOT / "README.md").read_text(encoding="utf-8"),
+                        ALLOWED_READERS) == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 from t0kit.finite_space import chain, sigma2, v_poset
 from t0kit.properties import is_sober
 from t0kit.report import as_data, cover_pairs, render_dot, render_json, render_text
-from t0kit.symbolic.cofinite import finite_set
+from t0kit.symbolic.cofinite import CofiniteSet
 
 
 def test_as_data_normalizes_rich_values():
@@ -15,7 +15,7 @@ def test_as_data_normalizes_rich_values():
         "set": frozenset({3, 1, 2}),
         "pair": (1, None),
         "report": is_sober(sigma2()),
-        "sym": finite_set([2, 1]),
+        "sym": CofiniteSet(False, {2, 1}),
         7: "int key",
     })
     assert data["frac"] == "1/3"

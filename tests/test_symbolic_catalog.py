@@ -8,6 +8,7 @@ from t0kit.symbolic.catalog import catalog, catalog_names, truncate
 from t0kit.symbolic.cofinite import CofiniteNat
 from t0kit.symbolic.intervals import ScottQSubspace
 from t0kit.symbolic.johnstone import KnSubspace
+from t0kit.symbolic.verdicts import Verdict
 
 
 def test_names_are_stable_and_sorted():
@@ -114,3 +115,27 @@ def test_truncation_coherence_johnstone():
     idx = [pts_big.index(p) for p in pts_small]
     sub = subspace(big, sum(1 << i for i in idx)).space
     assert find_homeomorphism(sub, small) is not None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog("scott_q03_xn", n=2.5),
+    lambda: catalog("scott_q03_xn", n="x"),
+    lambda: catalog("scott_q03_xn", n="4"),
+    lambda: catalog("johnstone_kn", n="x"),
+    lambda: catalog("johnstone_kn", n=True),
+    lambda: truncate(catalog("nat_cofinite"), 2.5),
+    lambda: truncate(catalog("nat_alexandrov"), True),
+    lambda: truncate(catalog("johnstone"), columns=2.5),
+    lambda: truncate(catalog("johnstone_kn", n=1), height=True),
+], ids=["xn-float", "xn-text", "xn-digits", "kn-text", "kn-bool", "bound-float", "bound-bool",
+        "columns-float", "height-bool"])
+def test_non_int_parameters_are_bad_params(build):
+    with pytest.raises(BadParams):
+        build()
+
+
+def test_verdict_invariants_are_bad_params():
+    with pytest.raises(BadParams):
+        Verdict("c", "maybe", "m")
+    with pytest.raises(BadParams):
+        Verdict("c", "holds_up_to", "m")  # no bound

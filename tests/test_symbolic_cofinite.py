@@ -18,10 +18,7 @@ from t0kit.symbolic.cofinite import (
     check_owf,
     check_owf_refutation,
     cofinite_excluding,
-    constant_family,
     empty_set,
-    finite_set,
-    full_set,
     initial_segment_complements,
 )
 
@@ -63,27 +60,22 @@ def test_membership_beyond_any_support():
     assert 10**9 in s
     assert 5 not in s
     assert 0 not in s  # carrier starts at 1
-    assert 3 in finite_set([3])
-    assert 10**9 not in finite_set([3])
+    assert 3 in CofiniteSet(False, {3})
+    assert 10**9 not in CofiniteSet(False, {3})
 
 
 def test_polarity_flip_and_identities():
-    assert empty_set().complement() == full_set()
-    assert full_set().is_full and empty_set().is_empty
-    assert cofinite_excluding([2]).complement() == finite_set([2])
+    assert empty_set().complement() == CofiniteSet(True)
+    assert empty_set().is_empty
+    assert cofinite_excluding([2]).complement() == CofiniteSet(False, {2})
     with pytest.raises(BadParams):
-        finite_set([0])
+        CofiniteSet(False, {0})
 
 
 def test_opens_and_closure():
     assert SPACE.is_open(empty_set())
     assert SPACE.is_open(cofinite_excluding([3, 4]))
-    assert not SPACE.is_open(finite_set([1]))
-    assert SPACE.is_closed(finite_set([1, 2]))
-    assert SPACE.closure(finite_set([7])) == finite_set([7])
-    assert SPACE.closure(cofinite_excluding([7])) == full_set()
-    assert SPACE.closure_of_point(4) == finite_set([4])
-    assert SPACE.leq(3, 3) and not SPACE.leq(3, 4)
+    assert not SPACE.is_open(CofiniteSet(False, {1}))
 
 
 def test_way_below_is_containment_guarded():
@@ -91,7 +83,7 @@ def test_way_below_is_containment_guarded():
     assert SPACE.way_below(u, v)
     assert not SPACE.way_below(v, u)
     with pytest.raises(NotOpen):
-        SPACE.way_below(finite_set([1]), v)
+        SPACE.way_below(CofiniteSet(False, {1}), v)
 
 
 @pytest.mark.parametrize("b", [2, 3, 4])
@@ -145,7 +137,9 @@ def test_owf_refutation_verdict_and_certificate():
 
 def test_non_refuting_certificates():
     # the constant full family contains a member inside u = full
-    v = check_owf_refutation(SPACE, constant_family(full_set()), full_set())
+    full = CofiniteSet(True)
+    v = check_owf_refutation(SPACE, IndexedFamily("constant", lambda n: full, 1, "constant"),
+                             full)
     assert v.kind == "holds" and v.exact
     assert v.details["containing_member_index"] == 1
     # initial segments against a cofinite u: some member fits inside
@@ -154,7 +148,7 @@ def test_non_refuting_certificates():
     )
     assert v2.kind == "holds" and v2.details["containing_member_index"] >= 4
     # a family that is not filtered is a bad certificate
-    flip_flop = constant_family(finite_set([1]))
+    flip_flop = IndexedFamily("flip flop", lambda n: CofiniteSet(False, {1}), 1, "constant")
     with pytest.raises(BadParams):
         check_owf_refutation(SPACE, flip_flop, empty_set())
 
@@ -175,7 +169,7 @@ _FORGED = {
                       1, "initial_segment_complements"),
         cofinite_excluding([50]), "member 50 is not inside u"),
     "full tagged segments": (
-        IndexedFamily("full tagged segments", lambda n: full_set(), 1,
+        IndexedFamily("full tagged segments", lambda n: CofiniteSet(True), 1,
                       "initial_segment_complements"),
         empty_set(), "point 1 is in member 1"),
 }
@@ -190,7 +184,6 @@ def test_forged_shape_tags_are_refused(case):
 
 
 def test_opaque_family_reports_bounded():
-    fam = constant_family(cofinite_excluding([1]))
-    opaque = type(fam)(fam.name, fam.member, fam.start, "generic")
+    opaque = IndexedFamily("opaque", lambda n: cofinite_excluding([1]), 1, "generic")
     v = check_owf_refutation(SPACE, opaque, empty_set(), bound=8)
     assert v.kind == "holds_up_to" and v.bound == 8

@@ -18,7 +18,6 @@ from t0kit.symbolic.intervals import (
     check_kbs,
     check_kbs_holds,
     closed_prefix,
-    empty_q,
     interval,
     scott_full,
     scott_xn,
@@ -95,7 +94,7 @@ def test_sup_inf_and_least():
     assert s.least() == Fraction(0)
     assert interval(1, 2, False, True).least() is None
     with pytest.raises(BadParams):
-        empty_q().sup_info()
+        QIntervalSet(()).sup_info()
 
 
 def test_validation():
@@ -109,7 +108,7 @@ FULL_SPACE = scott_full()
 
 
 def test_full_space_opens():
-    assert FULL_SPACE.is_open(empty_q())
+    assert FULL_SPACE.is_open(QIntervalSet(()))
     assert FULL_SPACE.is_open(FULL)
     assert FULL_SPACE.is_open(interval(Fraction(1, 2), 3, False, True))
     assert not FULL_SPACE.is_open(interval(1, 3, True, True))  # attains its inf
@@ -124,28 +123,9 @@ def test_subspace_traces():
     assert y.is_closed(f)  # trace of the closed prefix at 1
     assert y.is_open(singleton(2))  # trace of the final segment past 1
     assert not y.is_open(f)
-    assert y.closure_in(singleton(Fraction(1, 2))) == (
-        interval(0, Fraction(1, 2), True, True)
-    )
     assert y.closure_of_point(2) == y.carrier
     with pytest.raises(BadParams):
         y.is_open(interval(0, 3, True, True))  # leaves the carrier
-
-
-def test_closure_is_smallest_closed_trace():
-    y = scott_y()
-    rng = random.Random(999)
-    for _ in range(300):
-        s = random_set(rng) & y.carrier
-        if s.is_empty:
-            continue
-        cl = y.closure_in(s)
-        assert s <= cl and y.is_closed(cl)
-        # minimality against every candidate cut at a sample point
-        for q in POINTS:
-            cand = y.carrier & closed_prefix(q)
-            if s <= cand:
-                assert cl <= cand
 
 
 def test_sup_in_subspace():

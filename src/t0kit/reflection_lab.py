@@ -58,13 +58,7 @@ from .finite_space import (
 from .properties import CHECKERS, PropertyReport
 
 
-@dataclass(frozen=True)
-class ClassPredicate:
-    name: str
-    member: Callable[[FiniteSpace], bool]
-
-    def __call__(self, space: FiniteSpace) -> bool:
-        return bool(self.member(space))
+ClassPredicate = Callable[[FiniteSpace], bool]  # a class of spaces, as its membership test
 
 
 def _order_connected(space: FiniteSpace) -> bool:
@@ -83,15 +77,12 @@ def _order_connected(space: FiniteSpace) -> bool:
 # One class per checker but t0 (all_t0 below is that class), then the
 # negative controls.  Membership looks the checker up at call time.
 REGISTRY: dict[str, ClassPredicate] = {
-    name: ClassPredicate(name, member)
-    for name, member in [
-        *((name, lambda sp, name=name: CHECKERS[name](sp).holds)
-          for name in CHECKERS if name != "t0"),
-        ("all_t0", lambda sp: True),
-        ("at_most_two_points", lambda sp: sp.n <= 2),  # not productive
-        ("at_least_two_points", lambda sp: sp.n >= 2),  # not intersection-stable
-        ("order_connected", _order_connected),  # not hereditary
-    ]
+    **{name: lambda sp, name=name: CHECKERS[name](sp).holds
+       for name in CHECKERS if name != "t0"},
+    "all_t0": lambda sp: True,
+    "at_most_two_points": lambda sp: sp.n <= 2,  # not productive
+    "at_least_two_points": lambda sp: sp.n >= 2,  # not intersection-stable
+    "order_connected": _order_connected,  # not hereditary
 }
 
 

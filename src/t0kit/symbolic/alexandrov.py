@@ -35,7 +35,8 @@ class AlexSet:
         if self.kind not in KINDS:
             raise BadParams(f"unknown set kind {self.kind!r}")
         if self.kind in ("up", "down"):
-            if self.n is None or self.n < 0:
+            caps.check_int(self.n, "an up/down set's index")
+            if self.n < 0:
                 raise BadParams("up/down sets need a natural number index")
             if self.kind == "up" and self.n == 0:
                 raise BadParams("up(0) is the full set; use full")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .. import caps
 from ..errors import BadParams, UnknownSpace
 from ..finite_space import FiniteSpace
 from .alexandrov import AlexandrovNat
@@ -29,8 +28,8 @@ def catalog_names() -> list[str]:
 def catalog(name: str, **params) -> SymbolicSpace:
     """Look up an example space by name.
 
-    scott_q03_xn and johnstone_kn take n, an int; the rest take no
-    parameters.
+    scott_q03_xn and johnstone_kn take n, an int (their constructors
+    check it); the rest take no parameters.
     """
     if name in _NO_PARAMS:
         if params:
@@ -39,7 +38,6 @@ def catalog(name: str, **params) -> SymbolicSpace:
     if name in _WITH_N:
         if set(params) != {"n"}:
             raise BadParams(f"{name} takes exactly the parameter n")
-        caps.check_int(params["n"], f"{name}'s n")
         return _WITH_N[name](params["n"])
     raise UnknownSpace(f"no catalog space named {name!r}; "
                        f"try one of {', '.join(catalog_names())}")

@@ -30,11 +30,12 @@ from .verdicts import Verdict, holds, holds_up_to, refuted
 
 
 def _clean_support(items: Iterable[int]) -> frozenset[int]:
-    out = frozenset(int(k) for k in items)
-    for k in out:
+    items = tuple(items)
+    for k in items:
+        caps.check_int(k, "a member")
         if k < 1:
             raise BadParams(f"carrier is the positive integers; got {k}")
-    return out
+    return frozenset(items)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,14 @@ from ..errors import BadParams
 from ..finite_space import FiniteSpace, chain
 from .verdicts import Verdict, holds, refuted
 
+def _rational(q, what: str) -> Fraction:
+    """q as a Fraction; BadParams unless q is an int (not a bool) or a
+    Fraction, so that no float enters the algebra."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise BadParams(f"{what} must be an int or a Fraction; got {q!r}")
+    return Fraction(q)
+
+
 LO = Fraction(0)
 HI = Fraction(3)
 
@@ -46,8 +54,8 @@ class QInterval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        object.__setattr__(self, "lo", _rational(self.lo, "an endpoint"))
+        object.__setattr__(self, "hi", _rational(self.hi, "an endpoint"))
         if not (LO <= self.lo <= self.hi <= HI):
             raise BadParams(f"interval [{self.lo}, {self.hi}] leaves [0, 3]")
         if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
@@ -187,7 +195,7 @@ class QIntervalSet:
 
 
 def interval(lo, hi, lo_closed: bool, hi_closed: bool) -> QIntervalSet:
-    return QIntervalSet((QInterval(Fraction(lo), Fraction(hi), lo_closed, hi_closed),))
+    return QIntervalSet((QInterval(lo, hi, lo_closed, hi_closed),))
 
 
 def singleton(q) -> QIntervalSet:
@@ -293,6 +301,7 @@ def scott_y() -> ScottQSubspace:
 
 
 def scott_xn(n: int) -> ScottQSubspace:
+    caps.check_int(n, "n")
     if n < 2:
         raise BadParams("the punctured neighborhoods need n at least 2")
     lo = Fraction(2) - Fraction(1, n)
@@ -318,7 +327,7 @@ def check_kbs(sub: ScottQSubspace, f: QIntervalSet, sup_claim=None) -> Verdict:
     if not sub.is_closed(f):
         raise BadParams(f"{f!r} is not closed in {sub.name}")
     sup = sub.sup_in(f)
-    if sup_claim is not None and sup != Fraction(sup_claim):
+    if sup_claim is not None and sup != _rational(sup_claim, "the claimed sup"):
         raise BadParams(f"claimed sup {sup_claim} but the algebra finds {sup}")
     if sup is None:
         return holds(

@@ -16,7 +16,7 @@ from typing import Any
 from ..caps import caps_summary
 from ..errors import BadParams
 
-KINDS = ("holds", "refuted", "holds_up_to")
+LABELS = {"holds": "Holds", "refuted": "Refuted", "holds_up_to": "HoldsUpTo"}
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,14 @@ class Verdict:
     details: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in LABELS:
             raise BadParams(f"unknown verdict kind {self.kind!r}")
         if self.kind == "holds_up_to" and self.bound is None:
             raise BadParams("holds_up_to requires the bound actually checked")
 
     @property
     def label(self) -> str:
-        if self.kind == "holds":
-            return "Holds"
-        if self.kind == "refuted":
-            return "Refuted"
-        return f"HoldsUpTo({self.bound})"
+        return LABELS[self.kind] + (f"({self.bound})" if self.kind == "holds_up_to" else "")
 
     @property
     def exact(self) -> bool:

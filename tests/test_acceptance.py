@@ -10,7 +10,6 @@ import time
 from oracles import powerset_scott
 
 from t0kit import caps, reflection_lab
-from t0kit.cli import _corpus_rows
 from t0kit.constructions import (
     compose,
     find_homeomorphism,
@@ -26,6 +25,7 @@ from t0kit.reflection_lab import (
     check_sobrification_routes,
     check_subspace_reflections,
 )
+from t0kit.symbolic.corpus import run_corpus
 
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}  # OEIS A000112
 
@@ -123,7 +123,7 @@ def test_criterion_6_reflection_universal_property(capsys, monkeypatch):
 
 def test_criterion_7_certificate_corpus(capsys):
     t0 = time.perf_counter()
-    rows = _corpus_rows(30)
+    rows = run_corpus(30)
     secs = time.perf_counter() - t0
     by_name = {r["check"]: r for r in rows}
     claims = [r for r in rows if r["check"].startswith("johnstone")]

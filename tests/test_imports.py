@@ -195,7 +195,7 @@ ALLOWED_READERS = {
     "FiniteSpace.is_open": SRC + "properties.py",
     "FiniteSpace.leq": SRC + "constructions.py",
     "PropertyReport.as_tree": SRC + "cli.py",
-    "Verdict.as_tree": SRC + "cli.py",
+    "Verdict.as_tree": SRC + "symbolic/corpus.py",
     "Verdict.holds": SRC + "symbolic/intervals.py",
     "verdicts.holds": SRC + "symbolic/cofinite.py",
     "catalog.truncate": SRC + "symbolic/__init__.py",

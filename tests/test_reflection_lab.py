@@ -35,7 +35,6 @@ from t0kit.finite_space import (
 from t0kit.properties import CHECKERS
 from t0kit.reflection_lab import (
     REGISTRY,
-    ClassPredicate,
     check_chain_pairs,
     check_closure_properties,
     check_equalizer_theorem,
@@ -55,7 +54,6 @@ SOBER = REGISTRY["sober"]
 
 @pytest.mark.parametrize("name", [n for n in CHECKERS if n in REGISTRY])
 def test_checker_classes_follow_their_checkers(name):
-    assert REGISTRY[name].name == name
     for sp in spaces_up_to(4):
         assert REGISTRY[name](sp) == CHECKERS[name](sp).holds, (name, sp)
 
@@ -302,8 +300,7 @@ def test_k_conditions_hold_for_full_class():
 def test_k2_fails_for_a_labelling_dependent_class():
     # "point 0 is minimal" depends on the labels: swapping the 2-chain's
     # points moves point 0 to the top
-    pred = ClassPredicate("point0_minimal", lambda sp: sp.down[0] == 1)
-    k2 = check_K_conditions(pred, n_max=3)["K2"]
+    k2 = check_K_conditions(lambda sp: sp.down[0] == 1, n_max=3)["K2"]
     assert not k2.holds
     assert k2.witness == {"space_up": [[0], [0, 1]], "relabeling": [1, 0]}
     # the failing relabeling is counted, like every sweep's failing instance

@@ -4,10 +4,11 @@ import pytest
 
 from t0kit.constructions import find_homeomorphism, subspace
 from t0kit.errors import BadParams, UnknownSpace
+from t0kit.symbolic.alexandrov import AlexSet
 from t0kit.symbolic.catalog import catalog, catalog_names, truncate
-from t0kit.symbolic.cofinite import CofiniteNat
-from t0kit.symbolic.intervals import ScottQSubspace
-from t0kit.symbolic.johnstone import KnSubspace
+from t0kit.symbolic.cofinite import CofiniteNat, CofiniteSet
+from t0kit.symbolic.intervals import ScottQSubspace, check_kbs, interval, scott_xn, scott_y
+from t0kit.symbolic.johnstone import KnSubspace, check_point, open_from_generators
 from t0kit.symbolic.verdicts import Verdict
 
 
@@ -130,6 +131,25 @@ def test_truncation_coherence_johnstone():
 ], ids=["xn-float", "xn-text", "xn-digits", "kn-text", "kn-bool", "bound-float", "bound-bool",
         "columns-float", "height-bool"])
 def test_non_int_parameters_are_bad_params(build):
+    with pytest.raises(BadParams):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: KnSubspace(1.5),
+    lambda: KnSubspace(True),
+    lambda: AlexSet("up", 2.5),
+    lambda: open_from_generators(top_columns=[1.5]),
+    lambda: open_from_generators(tail=(1, "const", 1.5)),
+    lambda: scott_xn(2.5),
+    lambda: open_from_generators(finite_points=[(1.5, 2)]),
+    lambda: CofiniteSet(False, {"a"}),
+    lambda: check_point((1,)),
+    lambda: check_kbs(scott_y(), interval(0, 1, True, False), sup_claim="x"),
+    lambda: interval(0, 0.1, True, True),
+], ids=["kn-float", "kn-bool", "alex-float", "top-float", "tail-float", "xn-float",
+        "point-float", "cofinite-text", "point-short", "sup-text", "endpoint-float"])
+def test_malformed_constructor_values_are_bad_params(build):
     with pytest.raises(BadParams):
         build()
 

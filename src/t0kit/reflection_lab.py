@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from . import caps
 from .b_topology import b_closure, b_space, is_b_closed
 from .constructions import (
     SpaceMap,
@@ -41,7 +42,7 @@ from .constructions import (
     subspace,
 )
 from .enumeration import canonical_form, continuous_maps_list, relabel_space, spaces_up_to
-from .errors import BadParams, EmptyCarrier
+from .errors import EmptyCarrier
 from .finite_space import (
     FiniteSpace,
     PointSet,
@@ -163,12 +164,6 @@ def _ups(space: FiniteSpace) -> list[list[int]]:
     return [list(points_of(u)) for u in space.up]
 
 
-def _check_bounds(**bounds: int) -> None:
-    for name, value in bounds.items():
-        if value < 1:
-            raise BadParams(f"{name} must be at least 1")
-
-
 @dataclass(frozen=True)
 class ReflectionCheck:
     holds: bool
@@ -181,7 +176,7 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
     """Bounded universal property: the codomain is in the class and every
     map from the domain into a class member on at most test_bound points
     factors through eta exactly once."""
-    _check_bounds(test_bound=test_bound)
+    caps.check_bound(test_bound, "test_bound")
     x, y = eta.dom, eta.cod
     if not predicate(y):
         return ReflectionCheck(False, 0, test_bound,
@@ -235,7 +230,8 @@ def construct_reflection(
     is no candidate: on finite input its unit is a homeomorphism, so for
     a class closed under relabelling (K2) its codomain is a member
     exactly when the space is, and then the identity has already won."""
-    _check_bounds(target_bound=target_bound, test_bound=test_bound)
+    caps.check_bound(target_bound, "target_bound")
+    caps.check_bound(test_bound, "test_bound")
 
     def finish(eta: SpaceMap, route: str) -> ReflectionResult | None:
         check = is_reflection(eta, predicate, test_bound)
@@ -352,7 +348,7 @@ def check_K_conditions(predicate: ClassPredicate, n_max: int = 3) -> dict[str, P
         stay members (empty intersections exempt, counted).
     K4: preimages of member subspaces under continuous maps are members
         (empty preimages exempt, counted)."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
     spaces = list(spaces_up_to(n_max))
     carriers = [_member_carriers(z, predicate) for z in spaces]
 
@@ -407,7 +403,7 @@ def check_closure_properties(predicate: ClassPredicate, n_max: int = 3) -> dict[
     productive (binary products), b-closed-hereditary, has equalizers
     (the subspace equalizer of member-valued parallel pairs is a member;
     empty equalizers exempt, counted)."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
     members = [z for z in spaces_up_to(n_max) if predicate(z)]
 
     def productive():
@@ -452,7 +448,7 @@ def check_finite_collapse(n_max: int = 6) -> PropertyReport:
     """Criterion 1: the five sobriety-like checkers hold and the b-space is
     discrete; details also count the spaces by size.  An n_max above the
     enum cap needs caps.scoped(enum=n_max)."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
     spaces = list(spaces_up_to(n_max))
     names = ("sober", "co_sober", "strong_d", "k_bounded_sober", "open_well_filtered")
 
@@ -470,7 +466,7 @@ def check_finite_collapse(n_max: int = 6) -> PropertyReport:
 def check_chain_pairs(n_max: int = 5) -> PropertyReport:
     """Criterion 2: each {x1 < x2} is b-closed and its subspace is sigma2.
     It cannot fail; details say why."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
 
     def cases():
         for z in spaces_up_to(n_max):
@@ -489,7 +485,7 @@ def check_equalizer_theorem(n_max: int = 4) -> dict[str, PropertyReport]:
     """Criterion 3.  forward: the equalizer of each unordered parallel pair
     is b-closed; it cannot fail, and details say why.  backward: each
     b-closed set is the equalizer of its equalizer_maps_for_bclosed pair."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
     spaces = list(spaces_up_to(n_max))
 
     def forward():
@@ -515,7 +511,7 @@ def check_sobrification_routes(n_max: int = 5) -> PropertyReport:
     between the two results, which commutes with them.  Spaces with more
     than 12 opens are exempt: the b-closure route's power of 2^(opens - 1)
     points would pass the default product cap."""
-    _check_bounds(n_max=n_max)
+    caps.check_bound(n_max, "n_max")
 
     def cases():
         for z in spaces_up_to(n_max):
@@ -539,7 +535,7 @@ def check_subspace_reflections(test_bound: int = 4) -> dict[str, PropertyReport]
     """Criterion 6 for the sober class.  inclusions: each nonempty subset
     is its own k-closure.  reflections: the identity of each subspace shape
     met there (first seen first) passes is_reflection at test_bound."""
-    _check_bounds(test_bound=test_bound)
+    caps.check_bound(test_bound, "test_bound")
     sober = REGISTRY["sober"]
     shapes: dict[Any, FiniteSpace] = {}
 

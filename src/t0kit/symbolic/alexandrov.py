@@ -130,6 +130,7 @@ def check_cosober_alexandrov(bound: int = 50) -> Verdict:
     part cross-checks the truncation of size `bound` with the literal
     checker, and confirms it is not discrete.
     """
+    caps.check_int(bound, "the check bound")
     if bound < 2:
         raise BadParams("need at least two points to exercise the order")
     space = AlexandrovNat()

@@ -51,6 +51,8 @@ class CofiniteSet:
     support: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if not isinstance(self.cofinite, bool):
+            raise BadParams(f"the cofinite flag must be a bool; got {self.cofinite!r}")
         object.__setattr__(self, "support", _clean_support(self.support))
 
     def __contains__(self, k: int) -> bool:
@@ -89,10 +91,6 @@ class CofiniteSet:
             return False
         return b.support <= a.support
 
-    def trace(self, bound: int) -> frozenset[int]:
-        """Members that are at most `bound` (for finite cross-checks)."""
-        return frozenset(k for k in range(1, bound + 1) if k in self)
-
     def __repr__(self) -> str:
         body = "{" + ",".join(map(str, sorted(self.support))) + "}"
         return f"(N+ minus {body})" if self.cofinite else body
@@ -123,6 +121,9 @@ class IndexedFamily:
     member: Callable[[int], CofiniteSet]
     start: int = 1
     shape: str = "generic"
+
+    def __post_init__(self):
+        caps.check_int(self.start, "the family start")
 
     def members(self, count: int) -> list[CofiniteSet]:
         return [self.member(k) for k in range(self.start, self.start + count)]
@@ -188,7 +189,8 @@ def check_owf_refutation(
     """
     caps.check_bound(bound, "the sample bound")
     claim = f"open well-filtered condition for {family.name}"
-    sample = family.members(bound)
+    members = family.members(2 * bound)
+    sample = members[:bound]
     indices = list(range(family.start, family.start + bound))
 
     # (a) members must be opens
@@ -198,8 +200,7 @@ def check_owf_refutation(
 
     # (b) way-below-filtered: a selector member below each sampled pair
     selectors: dict[tuple[int, int], int] = {}
-    probe = list(zip(range(family.start, family.start + 2 * bound),
-                     family.members(2 * bound)))
+    probe = list(zip(range(family.start, family.start + 2 * bound), members))
     for i in range(bound):
         for j in range(i, bound):
             meet = sample[i] & sample[j]

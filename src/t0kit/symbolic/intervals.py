@@ -54,6 +54,9 @@ class QInterval:
     hi_closed: bool
 
     def __post_init__(self):
+        if not (isinstance(self.lo_closed, bool) and isinstance(self.hi_closed, bool)):
+            raise BadParams(f"interval flags must be bools; got {self.lo_closed!r}, "
+                            f"{self.hi_closed!r}")
         object.__setattr__(self, "lo", _rational(self.lo, "an endpoint"))
         object.__setattr__(self, "hi", _rational(self.hi, "an endpoint"))
         if not (LO <= self.lo <= self.hi <= HI):
@@ -92,6 +95,9 @@ class QIntervalSet:
     parts: tuple[QInterval, ...]
 
     def __post_init__(self):
+        bad = next((p for p in self.parts if not isinstance(p, QInterval)), None)
+        if bad is not None:
+            raise BadParams(f"a part must be a QInterval; got {bad!r}")
         merged: list[QInterval] = []
         for part in sorted(self.parts):
             if merged and _touches(merged[-1], part):

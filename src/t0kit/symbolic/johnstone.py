@@ -81,8 +81,12 @@ class JohnstoneOpen:
     ev_val: int
 
     def __post_init__(self):
+        if not isinstance(self.empty, bool):
+            raise BadParams(f"the empty flag must be a bool; got {self.empty!r}")
         if self.ev_kind not in EV_KINDS:
             raise BadParams(f"unknown eventual kind {self.ev_kind!r}")
+        for x in (self.ev_val, *self.heights, *self.tops):
+            caps.check_int(x, "a removal height or top")
         if self.ev_val < 0 or any(h < 0 for h in self.heights):
             raise BadParams("removal heights are nonnegative")
         if any(t < 1 for t in self.tops):
@@ -118,9 +122,6 @@ class JohnstoneOpen:
     @property
     def is_empty(self) -> bool:
         return self.empty
-
-    def removed_top_count(self) -> int:
-        return len(self.tops)
 
     # ----- algebra -----
 
@@ -292,21 +293,17 @@ class JohnstoneSpace:
         return truncate_grid(columns, height)
 
 
-def _grid_points(columns: int, height: int, skip_finite_upto: int = 0) -> list[Point]:
+def truncate_grid(columns: int, height: int, deleted: int = 0) -> FiniteSpace:
+    """Finite order restriction: all columns up to `columns`, finite
+    heights up to `height` in the columns after the first `deleted`,
+    plus the tops of those columns."""
     caps.check_bound(columns, "columns")
     caps.check_bound(height, "height")
-    n = max(columns - skip_finite_upto, 0) * height + columns
+    n = max(columns - deleted, 0) * height + columns
     caps.guard(n, caps.cap("truncate"), "truncation size")  # before the list
-    pts: list[Point] = []
-    for m in range(1, columns + 1):
-        if m > skip_finite_upto:
-            pts.extend((m, j) for j in range(1, height + 1))
+    pts: list[Point] = [(m, j) for m in range(1, columns + 1) if m > deleted
+                        for j in range(1, height + 1)]
     pts.extend((m, None) for m in range(1, columns + 1))
-    return pts
-
-
-def _space_from_points(pts: list[Point]) -> FiniteSpace:
-    """pts come from _grid_points, which applies the truncate cap."""
     pairs = [
         (i, k)
         for i, p in enumerate(pts)
@@ -314,12 +311,6 @@ def _space_from_points(pts: list[Point]) -> FiniteSpace:
         if leq_points(p, q)
     ]
     return caps.truncation(len(pts), lambda n: from_order(n, pairs))
-
-
-def truncate_grid(columns: int, height: int) -> FiniteSpace:
-    """Finite order restriction: all columns up to `columns`, finite
-    heights up to `height`, plus the tops of those columns."""
-    return _space_from_points(_grid_points(columns, height))
 
 
 class KnSubspace:
@@ -341,7 +332,7 @@ class KnSubspace:
         columns = columns if columns is not None else self.n + 3
         if columns <= self.n:
             raise BadParams("truncation needs columns beyond the deleted ones")
-        return _space_from_points(_grid_points(columns, height, self.n))
+        return truncate_grid(columns, height, self.n)
 
 
 @dataclass(frozen=True)
@@ -408,7 +399,7 @@ def check_way_below(u: JohnstoneOpen, v: JohnstoneOpen, bound: int = 30) -> Verd
     members = {k: cover_member(sel, k) for k in ks}
 
     chain_checked = all(members[k] <= members[k + 1] for k in ks[:-1])
-    no_tops_removed = all(members[k].removed_top_count() == 0 for k in ks)
+    no_tops_removed = all(not members[k].tops for k in ks)
     cover_checked = all(
         (m, j) in members[max(m + 1, start)]
         for m in range(1, start + bound - 1)
@@ -457,20 +448,13 @@ def default_sample_opens() -> list[JohnstoneOpen]:
     ]
 
 
-def check_claim_way_below_trivial(bound: int = 30,
-                                  samples: list[JohnstoneOpen] | None = None) -> Verdict:
+def _claim_way_below_trivial(bound: int, samples: list[JohnstoneOpen],
+                             verdicts: list[Verdict]) -> Verdict:
     """Way-below is trivial on representable opens: only the empty set
     is way below anything."""
-    caps.check_bound(bound, "the check bound")
-    samples = default_sample_opens() if samples is None else samples
-    sub = []
-    ok = True
-    for u in samples:
-        v = check_way_below(u, FULL_OPEN, bound)
-        expected = "holds" if u.is_empty else "refuted"
-        ok = ok and v.kind == expected
-        sub.append(v.as_tree())
-    nonempty = sum(1 for u in samples if not u.is_empty)
+    ok = all(v.kind == ("holds" if u.is_empty else "refuted")
+             for u, v in zip(samples, verdicts))
+    sub = [v.as_tree() for v in verdicts]
     if not ok:
         return holds_up_to(
             "(1) way below is trivial on representable opens",
@@ -479,12 +463,12 @@ def check_claim_way_below_trivial(bound: int = 30,
     return holds(
         "(1) way below is trivial on representable opens",
         "exact-pattern-arithmetic per sample",
-        details={"nonempty_samples_refuted": nonempty, "samples": sub},
+        details={"nonempty_samples_refuted": sum(not u.is_empty for u in samples),
+                 "samples": sub},
     )
 
 
-def check_claim_owf(bound: int = 30,
-                    samples: list[JohnstoneOpen] | None = None) -> Verdict:
+def _claim_owf(bound: int, samples: list[JohnstoneOpen], verdicts: list[Verdict]) -> Verdict:
     """Open well-filteredness of the whole space, bounded.
 
     Way-below-filtered families drawn from the sample pool must contain
@@ -493,10 +477,7 @@ def check_claim_owf(bound: int = 30,
     empty open satisfies the filtration condition against every u.  The
     search over the pool is exhaustive; the verdict stays bounded
     because the pool is."""
-    caps.check_bound(bound, "the check bound")
-    samples = default_sample_opens() if samples is None else samples
-    wb = {i: check_way_below(u, FULL_OPEN, bound).kind == "holds"
-          for i, u in enumerate(samples)}
+    wb = [v.kind == "holds" for v in verdicts]
     families = 0
     filtered = 0
     for mask in range(1, 1 << len(samples)):
@@ -526,7 +507,7 @@ def check_claim_owf(bound: int = 30,
     )
 
 
-def check_claim_kn_owf() -> Verdict:
+def _claim_kn_owf() -> Verdict:
     """Open well-filteredness of the column-deleted subspaces, n = 1, 2,
     checked on height-3 truncations with the literal property checker."""
     per_n = {}
@@ -549,7 +530,7 @@ def check_claim_kn_owf() -> Verdict:
     )
 
 
-def check_claim_top_row(bound: int = 30) -> Verdict:
+def _claim_top_row(bound: int, samples: list[JohnstoneOpen]) -> Verdict:
     """The intersection of the column-deleted subspaces is the top row,
     and its trace topology is the cofinite one.
 
@@ -560,7 +541,6 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
     finite point meets the top row in a final segment of columns, so
     any nonempty Scott open traces cofinitely) is order arithmetic,
     checked exhaustively on a grid."""
-    caps.check_bound(bound, "the check bound")
     ks = [KnSubspace(n) for n in range(1, bound + 1)]
     # finite points leave, tops stay: sampled grid plus the exact excluder
     for m in range(1, bound + 1):
@@ -580,8 +560,8 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
     )
 
     # representable opens trace cofinitely; cofinite sets are traces
-    samples = [u for u in default_sample_opens() if not u.is_empty]
-    traces = [u.top_trace() for u in samples]
+    nonempty = [u for u in samples if not u.is_empty]
+    traces = [u.top_trace() for u in nonempty]
     trace_cofinite = all(t.cofinite for t in traces)
     rebuilt = []
     for excluded in ([], [1], [2, 5], list(range(1, 7))):
@@ -590,7 +570,7 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
 
     homeo_ok = all(
         (t in u.top_trace()) == ((t, None) in u)
-        for u in samples
+        for u in nonempty
         for t in range(1, bound + 1)
     )
     if not (lemma_ok and trace_cofinite and all(rebuilt) and homeo_ok):
@@ -614,14 +594,19 @@ def check_claim_top_row(bound: int = 30) -> Verdict:
             "bridge_lemma_grid": grid,
             "sampled_tops": bound,
         },
-        details={"sampled_opens": len(samples)},
+        details={"sampled_opens": len(nonempty)},
     )
 
 
 def check_johnstone_claims(bound: int = 30) -> list[Verdict]:
+    """The four claims, in order, from one sample pool and one way-below
+    check of each sample against the whole space."""
+    caps.check_bound(bound, "the check bound")
+    samples = default_sample_opens()
+    verdicts = [check_way_below(u, FULL_OPEN, bound) for u in samples]
     return [
-        check_claim_way_below_trivial(bound),
-        check_claim_owf(bound),
-        check_claim_kn_owf(),
-        check_claim_top_row(bound),
+        _claim_way_below_trivial(bound, samples, verdicts),
+        _claim_owf(bound, samples, verdicts),
+        _claim_kn_owf(),
+        _claim_top_row(bound, samples),
     ]

@@ -16,6 +16,13 @@ class for a method, the module for a top-level name) define the same
 spelling, a reader counts for one of them only if it names the owner:
 the README backticks `Owner.name`, or ALLOWED_READERS maps Owner.name to
 a file under src/ or perfbench/ that reads the spelling.
+
+A parameter with a default is a knob, and every knob of a function or
+method under src/t0kit that src/ or perfbench/ calls must be passed by
+one of those calls (by position, by keyword, or through * or **) or by
+a README backtick call (`name(...)`).  A call is matched by spelling;
+a call of a class is a call of its __init__.  A function that no
+program file calls, such as a documented sweep entry point, is exempt.
 """
 
 import ast
@@ -227,3 +234,100 @@ def test_every_public_name_has_a_reader():
                for path in READERS}
     assert unread_names(modules, readers, (ROOT / "README.md").read_text(encoding="utf-8"),
                         ALLOWED_READERS) == []
+
+
+def function_knobs(fn: ast.FunctionDef, owner: ast.ClassDef | None) -> list[tuple]:
+    """knobs() for one function; owner is its class, if it is a method."""
+    a = fn.args
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    positional = [*a.posonlyargs, *a.args][1 if bound else 0:]
+    spelling = owner.name if owner is not None and fn.name == "__init__" else fn.name
+    first_default = len(positional) - len(a.defaults)
+    return ([(spelling, arg.arg, i, fn.lineno)
+             for i, arg in enumerate(positional) if i >= first_default]
+            + [(spelling, arg.arg, None, fn.lineno)
+               for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None])
+
+
+def knobs(source: str) -> list[tuple[str, str, int | None, int]]:
+    """(spelling, parameter, position or None, line) for every parameter
+    with a default; a class's __init__ is spelled as the class, and a
+    method's position leaves out self or cls."""
+    found = []
+
+    def visit(node: ast.AST, owner: ast.ClassDef | None) -> None:
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(function_knobs(sub, owner))
+                visit(sub, None)
+            else:
+                visit(sub, sub if isinstance(sub, ast.ClassDef) else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def calls(tree: ast.AST) -> list[tuple[str, int, set[str], bool]]:
+    """(spelling, positional count, keywords, spread) for every call of
+    a name or an attribute; spread is a * or ** argument."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            spelling = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            keywords = {k.arg for k in node.keywords}
+            spread = None in keywords or any(isinstance(x, ast.Starred) for x in node.args)
+            out.append((spelling, len(node.args), keywords, spread))
+    return out
+
+
+def readme_calls(text: str) -> list[tuple[str, int, set[str], bool]]:
+    """The calls of every README backtick call that parses."""
+    out = []
+    for call in re.findall(r"`([\w.]+\([^`]*\))`", text):
+        try:
+            out += calls(ast.parse(call, mode="eval"))
+        except SyntaxError:
+            continue
+    return out
+
+
+def unpassed_knobs(modules: dict[str, str], callers: dict[str, str], readme: str) -> list[str]:
+    """The knobs of modules (path -> source) called from callers (path ->
+    source) that neither those calls nor a README backtick call pass."""
+    program = [c for source in callers.values() for c in calls(ast.parse(source))]
+    called = {spelling for spelling, *_ in program}
+
+    def passed(spelling: str, name: str, position: int | None) -> bool:
+        return any(s == spelling and (spread or name in keywords
+                                      or (position is not None and position < count))
+                   for s, count, keywords, spread in program + readme_calls(readme))
+
+    return sorted(f"{spelling}({name}) ({path}, line {line})"
+                  for path, source in modules.items()
+                  for spelling, name, position, line in knobs(source)
+                  if spelling in called and not passed(spelling, name, position))
+
+
+def test_the_scan_sees_an_unpassed_knob():
+    source = ("def f(a, b=1, *, c=2): pass\ndef g(x=0): pass\n"
+              "class C:\n    def __init__(self, n=0): pass\n"
+              "    def m(self, k=1, j=2): pass\n"
+              "    @staticmethod\n    def s(k=1): pass\n")
+    callers = {"r.py": "f(1)\nC()\nobj.m(3)\nC.s()\n"}  # g has no caller: exempt
+    planted = ["C(n) (mod, line 4)", "f(b) (mod, line 1)", "f(c) (mod, line 1)",
+               "m(j) (mod, line 5)", "s(k) (mod, line 7)"]
+    assert unpassed_knobs({"mod": source}, callers, "") == planted
+    assert unpassed_knobs({"mod": source},
+                          {"r.py": "f(1, 2, c=3)\nC(n=1)\nobj.m(*a)\nC.s(0)\n"}, "") == []
+    assert unpassed_knobs({"mod": source}, callers,
+                          "`f(x, b=2, **kw)` `C(4)` `x.m(1, 2)` `s(k=0)`") == []
+    assert unpassed_knobs({"mod": source}, callers, "f(x, b=2) and `m(...)`") == planted
+
+
+def test_every_called_knob_is_passed():
+    modules = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "t0kit").rglob("*.py")}
+    callers = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in READERS}
+    assert unpassed_knobs(modules, callers, (ROOT / "README.md").read_text(encoding="utf-8")) == []

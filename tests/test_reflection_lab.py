@@ -202,6 +202,26 @@ def test_sweep_bounds_below_one_are_refused(sweep, bad):
         sweep(*[SOBER] * len(before), **{bound: bad})
 
 
+@pytest.mark.parametrize("bad, error", [
+    (2.5, BadParams), (True, BadParams), ("3", BadParams), (257, CapExceeded),
+])
+@pytest.mark.parametrize("entry", [
+    lambda bad: is_reflection(space_map(sigma2(), point(), (0, 0)), SOBER, test_bound=bad),
+    lambda bad: construct_reflection(antichain(3), SOBER, target_bound=bad),
+    lambda bad: construct_reflection(antichain(3), SOBER, test_bound=bad),
+    lambda bad: check_K_conditions(SOBER, n_max=bad),
+    lambda bad: check_closure_properties(SOBER, n_max=bad),
+    check_finite_collapse, check_chain_pairs, check_equalizer_theorem,
+    check_sobrification_routes, check_subspace_reflections,
+], ids=["is_reflection", "construct_target", "construct_test", "K_conditions",
+        "closure_properties", "finite_collapse", "chain_pairs", "equalizer_theorem",
+        "sobrification_routes", "subspace_reflections"])
+def test_reflection_lab_bounds_follow_the_one_bound_rule(entry, bad, error):
+    # an int of at least 1, not a bool, at most the truncate cap, before any work
+    with pytest.raises(error):
+        entry(bad)
+
+
 @pytest.mark.parametrize("entry, name, fault, checked", [
     (check_finite_collapse, "b_space", lambda z: z, 3),
     (check_chain_pairs, "find_homeomorphism", lambda a, b: None, 1),

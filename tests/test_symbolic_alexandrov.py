@@ -94,6 +94,15 @@ def test_cosober_verdict():
         check_cosober_alexandrov(bound=1)
 
 
+@pytest.mark.parametrize("bound, message", [
+    ("9", "must be an int"), (2.0, "must be an int"),
+    (0, "need at least two points"), (1, "need at least two points"),
+])
+def test_cosober_bound_is_an_int_of_at_least_two(bound, message):
+    with pytest.raises(BadParams, match=message):
+        check_cosober_alexandrov(bound)
+
+
 def test_over_cap_bound_is_refused_before_the_split_loop(monkeypatch):
     calls = []
     monkeypatch.setattr(alexandrov, "union", lambda *args: calls.append(args))

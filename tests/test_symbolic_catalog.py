@@ -1,14 +1,35 @@
 """Catalog lookup and uniform truncation across the example spaces."""
 
+from dataclasses import replace
+
 import pytest
 
 from t0kit.constructions import find_homeomorphism, subspace
 from t0kit.errors import BadParams, UnknownSpace
 from t0kit.symbolic.alexandrov import AlexSet
 from t0kit.symbolic.catalog import catalog, catalog_names, truncate
-from t0kit.symbolic.cofinite import CofiniteNat, CofiniteSet
-from t0kit.symbolic.intervals import ScottQSubspace, check_kbs, interval, scott_xn, scott_y
-from t0kit.symbolic.johnstone import KnSubspace, check_point, open_from_generators
+from t0kit.symbolic.cofinite import (
+    CofiniteNat,
+    CofiniteSet,
+    check_owf_refutation,
+    empty_set,
+    initial_segment_complements,
+)
+from t0kit.symbolic.intervals import (
+    QInterval,
+    QIntervalSet,
+    ScottQSubspace,
+    check_kbs,
+    interval,
+    scott_xn,
+    scott_y,
+)
+from t0kit.symbolic.johnstone import (
+    JohnstoneOpen,
+    KnSubspace,
+    check_point,
+    open_from_generators,
+)
 from t0kit.symbolic.verdicts import Verdict
 
 
@@ -159,3 +180,22 @@ def test_verdict_invariants_are_bad_params():
         Verdict("c", "maybe", "m")
     with pytest.raises(BadParams):
         Verdict("c", "holds_up_to", "m")  # no bound
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QInterval(0, 1, "yes", None),
+    lambda: QInterval(0, 1, True, 0),
+    lambda: CofiniteSet("no", {1}),
+    lambda: QIntervalSet(((1, 2), (0, 1))),
+    lambda: JohnstoneOpen("x", frozenset(), (), "const", 0),
+    lambda: JohnstoneOpen(False, frozenset({1.5}), (), "const", 0),
+    lambda: JohnstoneOpen(False, frozenset(), (1.5,), "const", 0),
+    lambda: JohnstoneOpen(False, frozenset(), (), "const", 1.5),
+    lambda: check_owf_refutation(CofiniteNat(), replace(initial_segment_complements(), start=1.5),
+                                 empty_set(), 4),
+], ids=["interval-flag", "interval-flag-int", "cofinite-flag", "set-parts", "open-empty-flag",
+        "open-top", "open-height", "open-ev-val", "family-start"])
+def test_value_types_refuse_malformed_fields(build):
+    # flags are bools, integers pass caps.check_int, parts are QIntervals
+    with pytest.raises(BadParams):
+        build()

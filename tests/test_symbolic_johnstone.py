@@ -25,9 +25,6 @@ from t0kit.symbolic.johnstone import (
     FULL_OPEN,
     JohnstoneSpace,
     KnSubspace,
-    check_claim_owf,
-    check_claim_top_row,
-    check_claim_way_below_trivial,
     check_johnstone_claims,
     check_point,
     check_way_below,
@@ -239,7 +236,7 @@ def test_way_below_refuted_with_reusable_witness():
     for k, wk in enumerate(members, start=1):
         p = (k, sel.x(k))
         assert p in u and p not in wk
-        assert wk.removed_top_count() == 0
+        assert not wk.tops
     assert all((m, 1) in members[-1] for m in range(1, 20))  # covers low rows
     assert dict(w["separating_points"])[1] == (1, sel.x(1))
 
@@ -275,9 +272,9 @@ def test_owf_claim_checks_way_below_at_its_own_bound(monkeypatch):
         return real(u, v, bound)
 
     monkeypatch.setattr(johnstone, "check_way_below", spy)
-    verdict = check_claim_owf(5)
+    verdict = check_johnstone_claims(5)[1]
     assert verdict.label == "HoldsUpTo(5)"
-    assert seen == [5] * len(default_sample_opens())
+    assert seen == [5] * len(default_sample_opens())  # one pass: six calls, not twelve
 
 
 @pytest.mark.parametrize("bound", [0, -3])
@@ -286,9 +283,9 @@ def test_check_bounds_below_one_are_refused(bound):
     for check in (
         lambda: check_way_below(u, FULL_OPEN, bound),
         lambda: check_way_below(EMPTY_OPEN, FULL_OPEN, bound),
-        lambda: check_claim_way_below_trivial(bound, samples=[]),
-        lambda: check_claim_owf(bound, samples=[]),
-        lambda: check_claim_top_row(bound),
+        lambda: check_johnstone_claims(bound)[0],
+        lambda: check_johnstone_claims(bound)[1],
+        lambda: check_johnstone_claims(bound)[3],
         lambda: check_johnstone_claims(bound),
         lambda: check_owf(bound=bound),
         lambda: check_owf_refutation(CofiniteNat(), initial_segment_complements(),
@@ -302,23 +299,23 @@ def test_check_bounds_above_the_truncate_cap_are_refused():
     bound = caps.cap("truncate") + 1
     for check in (
         lambda: check_way_below(EMPTY_OPEN, FULL_OPEN, bound),
-        lambda: check_claim_way_below_trivial(bound, samples=[]),
-        lambda: check_claim_owf(bound, samples=[]),
-        lambda: check_claim_top_row(bound),
+        lambda: check_johnstone_claims(bound)[0],
+        lambda: check_johnstone_claims(bound)[1],
+        lambda: check_johnstone_claims(bound)[3],
         lambda: check_johnstone_claims(bound),
         lambda: check_owf(bound=bound),
     ):
         with pytest.raises(CapExceeded):
             check()
     with caps.scoped(truncate=bound):
-        assert check_claim_top_row(bound).kind == "holds"
+        assert check_johnstone_claims(bound)[3].kind == "holds"
 
 
 def test_top_row_traces():
     assert FULL_OPEN.top_trace() == cofinite_excluding([])
     u = open_from_generators(top_columns=[2, 5], tail=(1, "const", 3))
     assert u.top_trace() == cofinite_excluding([2, 5])
-    v = check_claim_top_row(bound=12)
+    v = check_johnstone_claims(12)[3]
     assert v.kind == "holds" and v.exact
     assert v.witness["bridge_lemma_grid"] >= 5
 

@@ -509,8 +509,10 @@ def check_equalizer_theorem(n_max: int = 4) -> dict[str, PropertyReport]:
 def check_sobrification_routes(n_max: int = 5) -> PropertyReport:
     """Criterion 5: both units are homeomorphisms, and so is the bridge
     between the two results, which commutes with them.  Spaces with more
-    than 12 opens are exempt: the b-closure route's power of 2^(opens - 1)
-    points would pass the default product cap."""
+    than 12 opens are exempt.  12 is the criterion's own bound, kept so
+    that the pinned tally (64 spaces at n_max=5) does not move: the
+    b-closure route's power has 2^(opens - 1) points, which the default
+    product cap admits up to 13 opens and refuses from 14."""
     caps.check_bound(n_max, "n_max")
 
     def cases():

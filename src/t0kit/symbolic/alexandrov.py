@@ -43,17 +43,6 @@ class AlexSet:
         elif self.n is not None:
             raise BadParams(f"{self.kind} carries no index")
 
-    def __contains__(self, k: int) -> bool:
-        if k < 0:
-            return False
-        if self.kind == "empty":
-            return False
-        if self.kind == "full":
-            return True
-        if self.kind == "up":
-            return k >= self.n
-        return k <= self.n
-
     @property
     def is_empty(self) -> bool:
         return self.kind == "empty"

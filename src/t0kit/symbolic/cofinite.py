@@ -1,10 +1,11 @@
 """Exact algebra for the cofinite topology on the positive integers.
 
 The carrier is {1, 2, 3, ...}.  Every finite-or-cofinite subset is a
-CofiniteSet; the class is closed under union, intersection and
-complement, and containment is decidable, so quantifiers over opens
-reduce to support arithmetic.  The opens are the empty set and the
-cofinite sets.
+CofiniteSet.  The family of finite and cofinite sets is closed under
+union, intersection and complement; the type implements only what the
+checkers use, intersection, containment and membership, and decides
+them exactly, so quantifiers over opens reduce to support arithmetic.
+The opens are the empty set and the cofinite sets.
 
 Two facts carry all the weight here and are stated once:
 
@@ -62,9 +63,6 @@ class CofiniteSet:
     def is_empty(self) -> bool:
         return not self.cofinite and not self.support
 
-    def complement(self) -> "CofiniteSet":
-        return CofiniteSet(not self.cofinite, self.support)
-
     def __and__(self, other: "CofiniteSet") -> "CofiniteSet":
         a, b = self, other
         if not a.cofinite and not b.cofinite:
@@ -74,12 +72,6 @@ class CofiniteSet:
         if not b.cofinite:
             return CofiniteSet(False, b.support - a.support)
         return CofiniteSet(True, a.support | b.support)
-
-    def __or__(self, other: "CofiniteSet") -> "CofiniteSet":
-        return (self.complement() & other.complement()).complement()
-
-    def __sub__(self, other: "CofiniteSet") -> "CofiniteSet":
-        return self & other.complement()
 
     def __le__(self, other: "CofiniteSet") -> bool:
         a, b = self, other

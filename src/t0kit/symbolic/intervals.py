@@ -240,8 +240,6 @@ class ScottQSubspace:
         if s.is_empty or s == self.carrier:
             return True
         below = self.carrier - s
-        if below.is_empty:
-            return False  # equality was handled; defensive
         m, m_att = below.sup_info()
         i, i_att = s.inf_info()
         if m > i or (m == i and not m_att and i_att):

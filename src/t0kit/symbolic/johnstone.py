@@ -13,8 +13,8 @@ set A = finite points + finitely many tops + one optional tail pattern
 closure turns A into a removal profile: finitely many whole columns
 (the removed tops), and per column a removal height that is eventually
 constant or eventually column + shift.  The profile is the canonical
-form; membership, containment, union and intersection are decided on
-it exactly.
+form; membership, containment and intersection are decided on it
+exactly.
 
 Every such complement really is Scott open: it is an upper set because
 profiles remove down-sets, and inaccessible because a directed set
@@ -155,26 +155,6 @@ class JohnstoneOpen:
         ev = max((self.ev_kind, self.ev_val), (other.ev_kind, other.ev_val),
                  key=lambda ev: _ev_key(*ev))
         return _from_profile(tops, hs, ev)
-
-    def __or__(self, other: "JohnstoneOpen") -> "JohnstoneOpen":
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        hor = _joint_horizon(self, other)
-        hs = {}
-        for m in range(1, hor + 1):
-            if m in self.tops and m in other.tops:
-                continue  # still a whole removed column, pinned later
-            if m in self.tops:
-                hs[m] = other.height(m)  # one side removes the column whole
-            elif m in other.tops:
-                hs[m] = self.height(m)
-            else:
-                hs[m] = min(self.height(m), other.height(m))
-        ev = min((self.ev_kind, self.ev_val), (other.ev_kind, other.ev_val),
-                 key=lambda ev: _ev_key(*ev))
-        return _from_profile(self.tops & other.tops, hs, ev)
 
     def top_trace(self) -> CofiniteSet:
         """The open's trace on the top row, as a set of column indices."""
@@ -330,6 +310,7 @@ class KnSubspace:
 
     def truncate(self, columns: int | None = None, height: int = 3) -> FiniteSpace:
         columns = columns if columns is not None else self.n + 3
+        caps.check_int(columns, "columns")
         if columns <= self.n:
             raise BadParams("truncation needs columns beyond the deleted ones")
         return truncate_grid(columns, height, self.n)

@@ -1,11 +1,17 @@
 """The corpus row table: names, one call per check, and the late lookup
-of each checker that a tracer or a spy depends on."""
+of each checker that a tracer or a spy depends on.  Also: every
+operator that the symbolic set algebras write runs in the corpus."""
 
+import importlib
+import inspect
+import pkgutil
 import sys
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
+from t0kit import symbolic
 from t0kit.cli import main
 from t0kit.symbolic import corpus
 from t0kit.symbolic.alexandrov import check_cosober_alexandrov
@@ -79,3 +85,61 @@ def test_a_bad_bound_is_refused_before_any_check_runs(monkeypatch, capsys, bound
     assert main(["corpus", "run", "--bound", bound]) == code
     assert calls == {}
     assert "the check bound" in capsys.readouterr().err
+
+
+SKIPPED_DUNDERS = {"__init__", "__post_init__", "__repr__"}
+
+
+def unreached_operators(classes, run) -> list[str]:
+    """The dunder methods written in the bodies of classes that no call
+    reaches while run() runs under sys.setprofile.  A method counts as
+    written when its code sits in its class's source file, which leaves
+    out what dataclass generates; __init__, __post_init__ and __repr__
+    are skipped."""
+    written = {}
+    for cls in classes:
+        source = sys.modules[cls.__module__].__file__
+        for name, fn in vars(cls).items():
+            if (name.startswith("__") and name.endswith("__") and name not in SKIPPED_DUNDERS
+                    and inspect.isfunction(fn) and fn.__code__.co_filename == source):
+                written[fn.__code__] = f"{cls.__name__}.{name}"
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return sorted(name for code, name in written.items() if code not in reached)
+
+
+@dataclass(frozen=True)
+class Toy:
+    x: int
+
+    def __and__(self, other):
+        return Toy(self.x & other.x)
+
+    def __or__(self, other):
+        return Toy(self.x | other.x)
+
+
+def test_the_check_sees_an_unreached_operator():
+    # the dataclass's own __eq__, __hash__ and __setattr__ are not written
+    assert unreached_operators([Toy], lambda: Toy(1) & Toy(3)) == ["Toy.__or__"]
+    assert unreached_operators([Toy], lambda: (Toy(1) & Toy(3)) | Toy(4)) == []
+
+
+def test_every_symbolic_operator_runs_in_the_corpus():
+    # A spelling scan cannot see operators: `a | b` names no owner.
+    modules = [importlib.import_module(f"{symbolic.__name__}.{info.name}")
+               for info in pkgutil.iter_modules(symbolic.__path__)]
+    assert len(modules) == 7
+    classes = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+    assert unreached_operators(classes, lambda: run_corpus(1)) == []

@@ -8,6 +8,7 @@ properties they are designed to fail, with machine-checkable witnesses."""
 
 import hashlib
 import inspect
+from collections import Counter
 
 import pytest
 from oracles import GALLERY, extension_outcome, walked
@@ -62,7 +63,8 @@ def test_checker_classes_follow_their_checkers(name):
 def test_sobrification_routes_agree_and_fix_finite_spaces(n):
     for sp in all_spaces(n):
         if len(all_opens(sp)) > 12:
-            # power carrier 2^(opens-1) would blow the product cap
+            # criterion 5's exemption; up to 4 points only the discrete
+            # space (16 opens, a power of 2^15 points) passes the product cap
             with pytest.raises(CapExceeded):
                 sobrify_bclosure(sp)
             continue
@@ -74,6 +76,21 @@ def test_sobrification_routes_agree_and_fix_finite_spaces(n):
         assert find_homeomorphism(irr_route.space, sp) is not None
         assert find_homeomorphism(bcl_route.space, sp) is not None
         assert find_homeomorphism(irr_route.space, bcl_route.space) is not None
+
+
+def test_the_product_cap_refuses_sobrification_from_14_opens():
+    # the power has 2^(opens - 1) points: 2^12 at 13 opens equals the cap
+    outcomes = Counter()
+    for sp in spaces_up_to(5):
+        opens = len(all_opens(sp))
+        if opens == 13:
+            sobrify_bclosure(sp)
+            outcomes["13"] += 1
+        elif opens > 13:
+            with pytest.raises(CapExceeded):
+                sobrify_bclosure(sp)
+            outcomes["14+"] += 1
+    assert outcomes == {"13": 4, "14+": 19}
 
 
 def test_sobrify_details():

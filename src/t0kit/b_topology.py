@@ -20,15 +20,16 @@ b-open set up[z] & down[z] is {z}, the b-closure of A is A cut to the
 carrier, so A is b-closed iff it has no bit outside it.  The flag costs
 one pass over the points, once per space, and the equalizer sweeps ask
 is_b_closed once per pair of maps on the same few spaces.  It lives in
-a slot of the frozen FiniteSpace, None until is_b_closed first computes
-and stores it, not in a functools.cached_property: that would fill the
-instance dict, and on CPython 3.11 a filled instance dict makes every
-later attribute read on the space about 3x slower.  b_closure
-does not read it: its callers close one set of a space once, as
-sobrify_bclosure does on a Sierpinski power of up to 4096 points, where
-the pass would cost more than the O(|A|) loop it replaces.  When the
-flag is false (an up/down pair that is no partial order) is_b_closed
-falls back to b_closure.
+a slot of FiniteSpace, outside its compared fields, None until
+is_b_closed first computes it and stores it with object.__setattr__
+(plain assignment raises).  A slot, not a functools.cached_property:
+that would need an instance dict, and on CPython 3.11 a filled
+instance dict makes every later attribute read on the space about 3x
+slower.  b_closure does not read it: its callers close one set of a
+space once, as sobrify_bclosure does on a Sierpinski power of up to
+4096 points, where the pass would cost more than the O(|A|) loop it
+replaces.  When the flag is false (an up/down pair that is no partial
+order) is_b_closed falls back to b_closure.
 """
 
 from __future__ import annotations

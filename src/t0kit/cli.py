@@ -24,7 +24,7 @@ from typing import Any
 from .b_topology import b_closure, is_b_closed
 from .constructions import product, subspace
 from .enumeration import all_spaces
-from .errors import BadParams, CapExceeded, T0KitError, UsageError
+from .errors import BadParams, CapExceeded, InternalError, T0KitError, UsageError
 from .finite_space import FiniteSpace, mask_of, points_of
 from .properties import CHECKERS
 from .reflection_lab import (
@@ -465,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 70  # EX_SOFTWARE in sysexits.h
     except T0KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

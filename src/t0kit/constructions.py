@@ -13,7 +13,6 @@ significant.  _codes is the one place that writes codes in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import or_
 from typing import Sequence
 
@@ -34,15 +33,30 @@ from .finite_space import (
     points_of,
     sigma2,
 )
+from .values import Value
 
 
-@dataclass(frozen=True, slots=True)
-class SpaceMap:
-    dom: FiniteSpace
-    cod: FiniteSpace
-    table: tuple[int, ...]
-    # the fiber code of _fibers, 0 until equalizer first reads it
-    fibers: int = field(default=0, init=False, repr=False, compare=False)
+class SpaceMap(Value):
+    """A map between finite spaces as its table.  The fibers slot holds
+    the fiber code of _fibers, 0 until equalizer first reads it, and is
+    not one of _fields."""
+
+    _fields = ("dom", "cod", "table")
+    __slots__ = (*_fields, "fibers")
+
+    def __init__(self, dom: FiniteSpace, cod: FiniteSpace, table: tuple[int, ...]):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "fibers", 0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.table) == (other.dom, other.cod, other.table)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.table))
 
 
 def _check_table(dom: FiniteSpace, cod: FiniteSpace, table: tuple[int, ...]) -> None:
@@ -95,10 +109,12 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     return SpaceMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
 
 
-@dataclass(frozen=True)
-class SubspaceResult:
-    space: FiniteSpace
-    points: tuple[int, ...]  # points[i] = ambient index of subspace point i
+class SubspaceResult(Value):
+    __slots__ = _fields = ("space", "points")
+
+    def __init__(self, space: FiniteSpace, points: tuple[int, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "points", points)  # points[i] = ambient index of point i
 
 
 def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
@@ -124,10 +140,12 @@ def subspace(space: FiniteSpace, carrier: PointSet) -> SubspaceResult:
     return SubspaceResult(FiniteSpace(len(pts), up, down), pts)
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    space: FiniteSpace
-    factors: tuple[FiniteSpace, ...]
+class ProductResult(Value):
+    __slots__ = _fields = ("space", "factors")
+
+    def __init__(self, space: FiniteSpace, factors: tuple[FiniteSpace, ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "factors", factors)
 
     def coords(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.space.n:
@@ -201,8 +219,7 @@ def _codes(n: int, sets: Sequence[PointSet]) -> tuple[int, ...]:
     return tuple(codes)
 
 
-@dataclass(frozen=True)
-class CanonicalEmbedding:
+class CanonicalEmbedding(Value):
     """The point-separating map x -> (chi_U(x))_U into a Sierpinski power.
 
     opens fixes the coordinate order, and bitcodes[x] is the image of x
@@ -210,8 +227,11 @@ class CanonicalEmbedding:
     lies in opens[k] (see _codes).  The power is not built here; its
     carrier is 2^|opens|, behind the product cap."""
 
-    opens: tuple[PointSet, ...]
-    bitcodes: tuple[int, ...]
+    __slots__ = _fields = ("opens", "bitcodes")
+
+    def __init__(self, opens: tuple[PointSet, ...], bitcodes: tuple[int, ...]):
+        object.__setattr__(self, "opens", opens)
+        object.__setattr__(self, "bitcodes", bitcodes)
 
 
 def canonical_embedding(space: FiniteSpace) -> CanonicalEmbedding:
@@ -260,11 +280,13 @@ def closed_pair_representation(space: FiniteSpace, e: PointSet) -> tuple[tuple[P
     return tuple((full & ~space.down[y], space.up[y]) for y in iter_bits(full & ~e))
 
 
-@dataclass(frozen=True)
-class EqualizerPresentation:
-    f: SpaceMap
-    g: SpaceMap
-    pairs: tuple[tuple[PointSet, PointSet], ...]
+class EqualizerPresentation(Value):
+    __slots__ = _fields = ("f", "g", "pairs")
+
+    def __init__(self, f: SpaceMap, g: SpaceMap, pairs: tuple[tuple[PointSet, PointSet], ...]):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def equalizer_maps_for_bclosed(space: FiniteSpace, e: PointSet) -> EqualizerPresentation:

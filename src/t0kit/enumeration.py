@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
@@ -19,16 +18,19 @@ from . import caps
 from .constructions import SpaceMap
 from .errors import CapExceeded, EmptyCarrier, MismatchedSpaces
 from .finite_space import FiniteSpace, PointSet, all_opens, dual, iter_bits
+from .values import Value
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Value):
     """key is the lexicographically least up-mask tuple over admissible
     relabelings; relabel witnesses it (relabel[old] = new)."""
 
-    n: int
-    key: tuple[PointSet, ...]
-    relabel: tuple[int, ...]
+    __slots__ = _fields = ("n", "key", "relabel")
+
+    def __init__(self, n: int, key: tuple[PointSet, ...], relabel: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "relabel", relabel)
 
 
 def permute_mask(mask: PointSet, relabel: tuple[int, ...]) -> PointSet:

@@ -79,3 +79,9 @@ class ParseError(T0KitError):
 
 class UsageError(T0KitError):
     """Bad CLI invocation."""
+
+
+class InternalError(T0KitError):
+    """A self-check failed: an identity that t0kit's own lemmas
+    guarantee did not hold.  The message names the identity.  This is a
+    bug in t0kit, never a verdict."""

@@ -12,7 +12,6 @@ Point sets everywhere are ints with bit i standing for point i.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from . import caps
@@ -24,6 +23,7 @@ from .errors import (
     NotATopology,
     NotT0,
 )
+from .values import Value
 
 PointSet = int
 
@@ -50,17 +50,28 @@ def is_subset(a: PointSet, b: PointSet) -> bool:
     return a & ~b == 0
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteSpace:
+class FiniteSpace(Value):
     """Immutable, hashable; besides the order queries below, all
-    operations are module functions.  The b_discrete slot is filled by
-    b_topology.is_b_closed and kept out of ==, hash and repr."""
+    operations are module functions.  The b_discrete slot is None until
+    b_topology.is_b_closed first fills it, and is not one of _fields, so
+    ==, hash and repr never read it."""
 
-    n: int
-    up: tuple[PointSet, ...]
-    down: tuple[PointSet, ...]
-    # None until is_b_closed first asks
-    b_discrete: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("n", "up", "down")
+    __slots__ = (*_fields, "b_discrete")
+
+    def __init__(self, n: int, up: tuple[PointSet, ...], down: tuple[PointSet, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "b_discrete", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.up, self.down) == (other.n, other.up, other.down)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.up, self.down))
 
     @property
     def full(self) -> PointSet:

@@ -34,7 +34,6 @@ one table row per fast path:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import caps
@@ -50,15 +49,19 @@ from .finite_space import (
     iter_bits,
     points_of,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    holds: bool
-    method: str
-    witness: dict[str, Any] | None = None
-    details: dict[str, Any] = field(default_factory=dict)
+class PropertyReport(Value):
+    __slots__ = _fields = ("name", "holds", "method", "witness", "details")
+
+    def __init__(self, name: str, holds: bool, method: str,
+                 witness: dict[str, Any] | None = None, details: dict[str, Any] | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     def as_tree(self) -> dict[str, Any]:
         tree: dict[str, Any] = {

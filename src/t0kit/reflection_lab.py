@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from . import caps
@@ -57,6 +56,7 @@ from .finite_space import (
     sigma2,
 )
 from .properties import CHECKERS, PropertyReport
+from .values import Value
 
 
 ClassPredicate = Callable[[FiniteSpace], bool]  # a class of spaces, as its membership test
@@ -87,12 +87,15 @@ REGISTRY: dict[str, ClassPredicate] = {
 }
 
 
-@dataclass(frozen=True)
-class SobrificationResult:
-    space: FiniteSpace
-    unit: SpaceMap
-    route: str
-    details: dict[str, Any] = field(default_factory=dict)
+class SobrificationResult(Value):
+    __slots__ = _fields = ("space", "unit", "route", "details")
+
+    def __init__(self, space: FiniteSpace, unit: SpaceMap, route: str,
+                 details: dict[str, Any] | None = None):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "details", {} if details is None else details)
 
 
 def sobrify_irr(space: FiniteSpace) -> SobrificationResult:
@@ -164,12 +167,15 @@ def _ups(space: FiniteSpace) -> list[list[int]]:
     return [list(points_of(u)) for u in space.up]
 
 
-@dataclass(frozen=True)
-class ReflectionCheck:
-    holds: bool
-    verified_objects: int
-    test_bound: int
-    witness: dict[str, Any] | None = None
+class ReflectionCheck(Value):
+    __slots__ = _fields = ("holds", "verified_objects", "test_bound", "witness")
+
+    def __init__(self, holds: bool, verified_objects: int, test_bound: int,
+                 witness: dict[str, Any] | None = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "verified_objects", verified_objects)
+        object.__setattr__(self, "test_bound", test_bound)
+        object.__setattr__(self, "witness", witness)
 
 
 def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4) -> ReflectionCheck:
@@ -204,14 +210,17 @@ def is_reflection(eta: SpaceMap, predicate: ClassPredicate, test_bound: int = 4)
     return ReflectionCheck(True, verified, test_bound)
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
-    found: bool
-    space: FiniteSpace | None
-    unit: SpaceMap | None
-    route: str
-    check: ReflectionCheck | None
-    details: dict[str, Any] = field(default_factory=dict)
+class ReflectionResult(Value):
+    __slots__ = _fields = ("found", "space", "unit", "route", "check", "details")
+
+    def __init__(self, found: bool, space: FiniteSpace | None, unit: SpaceMap | None, route: str,
+                 check: ReflectionCheck | None, details: dict[str, Any] | None = None):
+        object.__setattr__(self, "found", found)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "details", {} if details is None else details)
 
 
 def construct_reflection(

@@ -1,6 +1,6 @@
 """Report rendering: one tree, three syntaxes.
 
-Checkers hand back dataclasses with an as_tree() view; this module
+Checkers hand back value objects with an as_tree() view; this module
 flattens any such object (or plain dicts and lists of them) into JSON
 screen text, and draws finite spaces as DOT diagrams of their covering
 relation.  Rendering is deterministic so golden files stay stable."""

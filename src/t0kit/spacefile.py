@@ -27,13 +27,13 @@ position."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .constructions import SpaceMap, space_map
 from .errors import NotAPartialOrder, NotContinuous, NotT0, ParseError
 from .finite_space import FiniteSpace, from_cover, from_opens, mask_of
 from .report import cover_pairs
+from .values import Value
 
 _WORD = re.compile(r"\S+")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -43,30 +43,36 @@ _MAP_HEADER = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SpaceDoc:
-    name: str
-    point_names: tuple[str, ...]
-    space: FiniteSpace
-    line: int
+class SpaceDoc(Value):
+    __slots__ = _fields = ("name", "point_names", "space", "line")
+
+    def __init__(self, name: str, point_names: tuple[str, ...], space: FiniteSpace, line: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "point_names", point_names)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "line", line)
 
     def index(self, point_name: str) -> int:
         return self.point_names.index(point_name)
 
 
-@dataclass(frozen=True)
-class MapDoc:
-    name: str
-    src: str
-    dst: str
-    map: SpaceMap
-    line: int
+class MapDoc(Value):
+    __slots__ = _fields = ("name", "src", "dst", "map", "line")
+
+    def __init__(self, name: str, src: str, dst: str, map: SpaceMap, line: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "map", map)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class Document:
-    spaces: dict[str, SpaceDoc] = field(default_factory=dict)
-    maps: tuple[MapDoc, ...] = ()
+class Document(Value):
+    __slots__ = _fields = ("spaces", "maps")
+
+    def __init__(self, spaces: dict[str, SpaceDoc] | None = None, maps: tuple[MapDoc, ...] = ()):
+        object.__setattr__(self, "spaces", {} if spaces is None else spaces)
+        object.__setattr__(self, "maps", maps)
 
     def first_space(self) -> SpaceDoc:
         if not self.spaces:

@@ -11,37 +11,43 @@ distinct n give distinct up-sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .. import caps
-from ..errors import BadParams, NotRepresentable
+from ..errors import BadParams, InternalError, NotRepresentable
 from ..finite_space import FiniteSpace, chain
 from ..properties import is_co_sober
+from ..values import Value
 from .verdicts import Verdict, holds
 
 KINDS = ("empty", "full", "up", "down")
 
 
-@dataclass(frozen=True)
-class AlexSet:
+class AlexSet(Value):
     """A representable subset: empty, full, up(n) = {n, n+1, ...} or
     down(n) = {0, ..., n}.  Normal form: full is up(0), never stored as
     "up"; down(n) never empty."""
 
-    kind: str
-    n: int | None = None
+    __slots__ = _fields = ("kind", "n")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise BadParams(f"unknown set kind {self.kind!r}")
-        if self.kind in ("up", "down"):
-            caps.check_int(self.n, "an up/down set's index")
-            if self.n < 0:
+    def __init__(self, kind: str, n: int | None = None):
+        if kind not in KINDS:
+            raise BadParams(f"unknown set kind {kind!r}")
+        if kind in ("up", "down"):
+            caps.check_int(n, "an up/down set's index")
+            if n < 0:
                 raise BadParams("up/down sets need a natural number index")
-            if self.kind == "up" and self.n == 0:
+            if kind == "up" and n == 0:
                 raise BadParams("up(0) is the full set; use full")
-        elif self.n is not None:
-            raise BadParams(f"{self.kind} carries no index")
+        elif n is not None:
+            raise BadParams(f"{kind} carries no index")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.n) == (other.kind, other.n)
+        return NotImplemented
+
+    __hash__ = Value.__hash__
 
     @property
     def is_empty(self) -> bool:
@@ -129,21 +135,22 @@ def check_cosober_alexandrov(bound: int = 50) -> Verdict:
     for a in range(0, bound):
         for b in range(a, bound):
             if union(up_set(a), up_set(b)) != up_set(min(a, b)):
-                raise AssertionError(f"up({a}) | up({b}) is not up({min(a, b)})")
+                raise InternalError(f"up({a}) | up({b}) is not up({min(a, b)})")
             split_checked += 1
     sat_points = all(
         space.min_of(up_set(n)) == n and space.saturate(down_set(n)) == full_alex()
         for n in range(bound)
     )
     if not sat_points:  # pragma: no cover - normal forms make this impossible
-        raise AssertionError("normal form broke: up(n) lost its minimum")
+        raise InternalError("some n below the bound is not the minimum of up(n), "
+                            "or down(n) does not saturate to the full set")
 
     finite_report = is_co_sober(finite)
     t1 = all(
         not space.leq(x, y) for x in range(bound) for y in range(bound) if x != y
     )
     if not finite_report.holds or t1:
-        raise AssertionError("truncation contradicts the symbolic analysis")
+        raise InternalError(f"the {bound}-point truncation is not co-sober, or is discrete")
 
     return holds(
         "co-sober",

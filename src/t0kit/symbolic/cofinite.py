@@ -20,13 +20,13 @@ Two facts carry all the weight here and are stated once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Iterable
 
 from .. import caps
 from ..errors import BadParams, NotOpen
 from ..finite_space import FiniteSpace, antichain
+from ..values import Value
 from .verdicts import Verdict, holds, holds_up_to, refuted
 
 
@@ -39,8 +39,7 @@ def _clean_support(items: Iterable[int]) -> frozenset[int]:
     return frozenset(items)
 
 
-@dataclass(frozen=True)
-class CofiniteSet:
+class CofiniteSet(Value):
     """A finite or cofinite set of positive integers.
 
     cofinite=False: the set is exactly `support`.
@@ -48,13 +47,13 @@ class CofiniteSet:
     The representation is canonical, so equality is structural.
     """
 
-    cofinite: bool
-    support: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = _fields = ("cofinite", "support")
 
-    def __post_init__(self):
-        if not isinstance(self.cofinite, bool):
-            raise BadParams(f"the cofinite flag must be a bool; got {self.cofinite!r}")
-        object.__setattr__(self, "support", _clean_support(self.support))
+    def __init__(self, cofinite: bool, support: Iterable[int] = frozenset()):
+        if not isinstance(cofinite, bool):
+            raise BadParams(f"the cofinite flag must be a bool; got {cofinite!r}")
+        object.__setattr__(self, "cofinite", cofinite)
+        object.__setattr__(self, "support", _clean_support(support))
 
     def __contains__(self, k: int) -> bool:
         return (k in self.support) != self.cofinite and k >= 1
@@ -96,8 +95,7 @@ def empty_set() -> CofiniteSet:
     return CofiniteSet(False, frozenset())
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(Value):
     """A family of sets indexed by the integers from `start` on.
 
     `shape` names the structural pattern the checkers can reason about
@@ -109,13 +107,15 @@ class IndexedFamily:
     the shape is trusted.
     """
 
-    name: str
-    member: Callable[[int], CofiniteSet]
-    start: int = 1
-    shape: str = "generic"
+    __slots__ = _fields = ("name", "member", "start", "shape")
 
-    def __post_init__(self):
-        caps.check_int(self.start, "the family start")
+    def __init__(self, name: str, member: Callable[[int], CofiniteSet], start: int = 1,
+                 shape: str = "generic"):
+        caps.check_int(start, "the family start")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "member", member)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "shape", shape)
 
     def members(self, count: int) -> list[CofiniteSet]:
         return [self.member(k) for k in range(self.start, self.start + count)]

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .. import caps
+from ..values import Value
 from .alexandrov import check_cosober_alexandrov
 from .cofinite import check_owf
 from .intervals import check_kbs_holds, scott_full, scott_xn, scott_y
@@ -19,14 +19,17 @@ from .johnstone import check_johnstone_claims
 from .verdicts import LABELS, Verdict
 
 
-@dataclass(frozen=True)
-class CorpusRow:
-    name: str
-    kind: str
-    exact: bool
-    check: Callable[[int], Any]
-    extra: Callable[[Verdict], bool] | None = None
-    why: str = ""
+class CorpusRow(Value):
+    __slots__ = _fields = ("name", "kind", "exact", "check", "extra", "why")
+
+    def __init__(self, name: str, kind: str, exact: bool, check: Callable[[int], Any],
+                 extra: Callable[[Verdict], bool] | None = None, why: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "extra", extra)
+        object.__setattr__(self, "why", why)
 
 
 def _johnstone(bound: int) -> list[Verdict]:

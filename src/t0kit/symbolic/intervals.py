@@ -24,12 +24,12 @@ below is a complete one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import caps
-from ..errors import BadParams
+from ..errors import BadParams, InternalError
 from ..finite_space import FiniteSpace, chain
+from ..values import Value
 from .verdicts import Verdict, holds, refuted
 
 def _rational(q, what: str) -> Fraction:
@@ -44,25 +44,40 @@ LO = Fraction(0)
 HI = Fraction(3)
 
 
-@dataclass(frozen=True, order=True)
-class QInterval:
-    """One nonempty rational interval inside [0, 3]."""
+class QInterval(Value):
+    """One nonempty rational interval inside [0, 3], ordered by its
+    field tuple."""
 
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
+    __slots__ = _fields = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if not (isinstance(self.lo_closed, bool) and isinstance(self.hi_closed, bool)):
-            raise BadParams(f"interval flags must be bools; got {self.lo_closed!r}, "
-                            f"{self.hi_closed!r}")
-        object.__setattr__(self, "lo", _rational(self.lo, "an endpoint"))
-        object.__setattr__(self, "hi", _rational(self.hi, "an endpoint"))
-        if not (LO <= self.lo <= self.hi <= HI):
-            raise BadParams(f"interval [{self.lo}, {self.hi}] leaves [0, 3]")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+    def __init__(self, lo, hi, lo_closed: bool, hi_closed: bool):
+        if not (isinstance(lo_closed, bool) and isinstance(hi_closed, bool)):
+            raise BadParams(f"interval flags must be bools; got {lo_closed!r}, {hi_closed!r}")
+        lo = _rational(lo, "an endpoint")
+        hi = _rational(hi, "an endpoint")
+        if not (LO <= lo <= hi <= HI):
+            raise BadParams(f"interval [{lo}, {hi}] leaves [0, 3]")
+        if lo == hi and not (lo_closed and hi_closed):
             raise BadParams("degenerate interval must be a closed singleton")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_closed", lo_closed)
+        object.__setattr__(self, "hi_closed", hi_closed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.lo, self.hi, self.lo_closed, self.hi_closed)
+                    == (other.lo, other.hi, other.lo_closed, other.hi_closed))
+        return NotImplemented
+
+    __hash__ = Value.__hash__
+
+    def __lt__(self, other: "QInterval") -> bool:
+        # sorted() needs only <, and > is its reflection
+        if other.__class__ is self.__class__:
+            return ((self.lo, self.hi, self.lo_closed, self.hi_closed)
+                    < (other.lo, other.hi, other.lo_closed, other.hi_closed))
+        return NotImplemented
 
     def __contains__(self, q: Fraction) -> bool:
         if q < self.lo or q > self.hi:
@@ -88,18 +103,17 @@ def _touches(a: QInterval, b: QInterval) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QIntervalSet:
+class QIntervalSet(Value):
     """Normalized finite union of rational intervals in [0, 3]."""
 
-    parts: tuple[QInterval, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        bad = next((p for p in self.parts if not isinstance(p, QInterval)), None)
+    def __init__(self, parts: tuple[QInterval, ...]):
+        bad = next((p for p in parts if not isinstance(p, QInterval)), None)
         if bad is not None:
             raise BadParams(f"a part must be a QInterval; got {bad!r}")
         merged: list[QInterval] = []
-        for part in sorted(self.parts):
+        for part in sorted(parts):
             if merged and _touches(merged[-1], part):
                 last = merged.pop()
                 if part.hi > last.hi:
@@ -115,6 +129,13 @@ class QIntervalSet:
             else:
                 merged.append(part)
         object.__setattr__(self, "parts", tuple(merged))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    __hash__ = Value.__hash__
 
     def __contains__(self, q: Fraction) -> bool:
         return any(q in p for p in self.parts)
@@ -343,7 +364,7 @@ def check_kbs(sub: ScottQSubspace, f: QIntervalSet, sup_claim=None) -> Verdict:
     if attained:
         cl = sub.closure_of_point(c)
         if cl != f:  # pragma: no cover - the cut construction forbids it
-            raise AssertionError("closed trace with a max is not its closure")
+            raise InternalError(f"{f!r} attains its sup {c} but is not the closure of {c}")
         return holds(
             claim,
             "exact-interval-algebra",
@@ -402,7 +423,8 @@ def check_kbs_holds(sub: ScottQSubspace) -> Verdict:
             f = QIntervalSet(parts[: i + 1])
             inner = check_kbs(sub, f, parts[i + 1].lo)
             if inner.kind != "refuted":  # pragma: no cover
-                raise AssertionError("shape analysis and instance check disagree")
+                raise InternalError(f"check_kbs does not refute {f!r}, which ends right-open "
+                                    f"before the left-closed {parts[i + 1]!r}")
             return refuted(
                 "k-bounded sober",
                 "shape-analysis + exact-interval-algebra",
@@ -414,14 +436,14 @@ def check_kbs_holds(sub: ScottQSubspace) -> Verdict:
         prefix = QIntervalSet(parts[: i + 1])
         inner = check_kbs(sub, prefix)
         if not inner.holds:  # pragma: no cover
-            raise AssertionError("prefix shape unexpectedly refuted")
+            raise InternalError(f"check_kbs refutes the prefix {prefix!r}")
         checked.append({"shape": f"prefix through component {i}", "verdict": inner.label})
         interior = (p.lo + p.hi) / 2 if p.lo < p.hi else p.lo
         if interior in sub.carrier:
             cut = sub.carrier & closed_prefix(interior)
             inner = check_kbs(sub, cut)
             if not inner.holds:  # pragma: no cover
-                raise AssertionError("interior cut unexpectedly refuted")
+                raise InternalError(f"check_kbs refutes the cut {cut!r} at {interior}")
             checked.append({"shape": f"cut at {interior} in component {i}",
                             "verdict": inner.label})
     return holds(

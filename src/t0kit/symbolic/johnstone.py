@@ -25,13 +25,13 @@ column (so the approximating column tail would be removed too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .. import caps
-from ..errors import BadParams, EmptyOpen
+from ..errors import BadParams, EmptyOpen, InternalError
 from ..finite_space import FiniteSpace, from_order
 from ..properties import is_open_well_filtered
+from ..values import Value
 from .cofinite import CofiniteSet, cofinite_excluding, empty_set
 from .verdicts import Verdict, holds, holds_up_to, refuted
 
@@ -68,31 +68,32 @@ def _ev_height(kind: str, val: int, m: int) -> int:
     return val if kind == "const" else m + val
 
 
-@dataclass(frozen=True)
-class JohnstoneOpen:
+class JohnstoneOpen(Value):
     """A representable Scott open, stored as its canonical removal
     profile: removed tops, an explicit height prefix, and the eventual
     height form for all later columns."""
 
-    empty: bool
-    tops: frozenset[int]
-    heights: tuple[int, ...]
-    ev_kind: str
-    ev_val: int
+    __slots__ = _fields = ("empty", "tops", "heights", "ev_kind", "ev_val")
 
-    def __post_init__(self):
-        if not isinstance(self.empty, bool):
-            raise BadParams(f"the empty flag must be a bool; got {self.empty!r}")
-        if self.ev_kind not in EV_KINDS:
-            raise BadParams(f"unknown eventual kind {self.ev_kind!r}")
-        for x in (self.ev_val, *self.heights, *self.tops):
+    def __init__(self, empty: bool, tops: frozenset[int], heights: tuple[int, ...], ev_kind: str,
+                 ev_val: int):
+        if not isinstance(empty, bool):
+            raise BadParams(f"the empty flag must be a bool; got {empty!r}")
+        if ev_kind not in EV_KINDS:
+            raise BadParams(f"unknown eventual kind {ev_kind!r}")
+        for x in (ev_val, *heights, *tops):
             caps.check_int(x, "a removal height or top")
-        if self.ev_val < 0 or any(h < 0 for h in self.heights):
+        if ev_val < 0 or any(h < 0 for h in heights):
             raise BadParams("removal heights are nonnegative")
-        if any(t < 1 for t in self.tops):
+        if any(t < 1 for t in tops):
             raise BadParams("columns start at 1")
-        if self.empty and (self.tops or self.heights or self.ev_val):
+        if empty and (tops or heights or ev_val):
             raise BadParams("the empty open carries no profile")
+        object.__setattr__(self, "empty", empty)
+        object.__setattr__(self, "tops", tops)
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "ev_kind", ev_kind)
+        object.__setattr__(self, "ev_val", ev_val)
 
     # ----- profile access -----
 
@@ -316,17 +317,19 @@ class KnSubspace:
         return truncate_grid(columns, height, self.n)
 
 
-@dataclass(frozen=True)
-class MinSelector:
+class MinSelector(Value):
     """Per-column least members of a nonempty open: x(m) is the least
     height with (m, x(m)) in U, defined for every column beyond the
     removed tops; eventually it follows the open's eventual form plus
     one."""
 
-    top_bound: int
-    prefix: tuple[int, ...]
-    ev_kind: str
-    ev_val: int
+    __slots__ = _fields = ("top_bound", "prefix", "ev_kind", "ev_val")
+
+    def __init__(self, top_bound: int, prefix: tuple[int, ...], ev_kind: str, ev_val: int):
+        object.__setattr__(self, "top_bound", top_bound)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "ev_kind", ev_kind)
+        object.__setattr__(self, "ev_val", ev_val)
 
     def x(self, m: int) -> int:
         if m <= self.top_bound:
@@ -473,7 +476,8 @@ def _claim_owf(bound: int, samples: list[JohnstoneOpen], verdicts: list[Verdict]
             continue
         filtered += 1
         if not any(samples[k].is_empty for k in fam):  # pragma: no cover
-            raise AssertionError("filtered family without the empty member")
+            raise InternalError(f"the filtered family {fam} of the sample pool lacks the "
+                                "empty open")
     return holds_up_to(
         "(2) the space is open well-filtered",
         bound,
@@ -497,7 +501,7 @@ def _claim_kn_owf() -> Verdict:
         rep = is_open_well_filtered(sp)
         per_n[n] = {"points": sp.n, "holds": rep.holds, "method": rep.method}
         if not rep.holds:  # pragma: no cover - finite spaces satisfy it
-            raise AssertionError(f"truncation of deleted-columns space {n} failed")
+            raise InternalError(f"the truncation of johnstone_k{n} is not open well-filtered")
     return holds_up_to(
         "(3) the column-deleted subspaces are open well-filtered",
         max(p["points"] for p in per_n.values()),
@@ -526,9 +530,10 @@ def _claim_top_row(bound: int, samples: list[JohnstoneOpen]) -> Verdict:
     # finite points leave, tops stay: sampled grid plus the exact excluder
     for m in range(1, bound + 1):
         if ks[m - 1].contains((m, 1)) or not ks[m - 1].contains((m, None)):
-            raise AssertionError("membership pattern broke")  # pragma: no cover
+            raise InternalError(f"johnstone_k{m} keeps ({m}, 1) or loses the top "
+                                f"({m}, None)")
         if m < bound and not ks[m - 1].contains((m + 1, 1)):
-            raise AssertionError("deleted too much")  # pragma: no cover
+            raise InternalError(f"johnstone_k{m} loses ({m + 1}, 1)")
 
     # the bridge lemma on a grid: up-sets of finite points meet the top
     # row in exactly the columns from the height on

@@ -10,29 +10,30 @@ machine-checked witness that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..caps import caps_summary
 from ..errors import BadParams
+from ..values import Value
 
 LABELS = {"holds": "Holds", "refuted": "Refuted", "holds_up_to": "HoldsUpTo"}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    claim: str
-    kind: str
-    method: str
-    bound: int | None = None
-    witness: dict[str, Any] | None = None
-    details: dict[str, Any] = field(default_factory=dict)
+class Verdict(Value):
+    __slots__ = _fields = ("claim", "kind", "method", "bound", "witness", "details")
 
-    def __post_init__(self):
-        if self.kind not in LABELS:
-            raise BadParams(f"unknown verdict kind {self.kind!r}")
-        if self.kind == "holds_up_to" and self.bound is None:
+    def __init__(self, claim: str, kind: str, method: str, bound: int | None = None,
+                 witness: dict[str, Any] | None = None, details: dict[str, Any] | None = None):
+        if kind not in LABELS:
+            raise BadParams(f"unknown verdict kind {kind!r}")
+        if kind == "holds_up_to" and bound is None:
             raise BadParams("holds_up_to requires the bound actually checked")
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     @property
     def label(self) -> str:

@@ -21,7 +21,6 @@ all_closed_sets.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -830,15 +829,17 @@ def walked(name: str) -> tuple[Any, ...]:
 
 def off_by_one(value: Any) -> Any:
     """A copy of a fast value with one small fault planted: a negated
-    verdict, a flipped low bit, or the first entry of a sequence or
-    dataclass changed that way."""
+    verdict, a flipped low bit, or the first entry of a sequence changed
+    that way.  A value type is built again through its constructor with
+    its `holds` field, or else its first field, changed that way."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
         return value ^ 1
     if isinstance(value, (tuple, list)):
         return type(value)([off_by_one(value[0]), *value[1:]])
-    if hasattr(value, "holds"):
-        return dataclasses.replace(value, holds=not value.holds)
-    first = dataclasses.fields(value)[0].name
-    return dataclasses.replace(value, **{first: off_by_one(getattr(value, first))})
+    fields = type(value)._fields
+    args = [getattr(value, name) for name in fields]
+    k = fields.index("holds") if "holds" in fields else 0
+    args[k] = off_by_one(args[k])
+    return type(value)(*args)

@@ -239,6 +239,8 @@ def test_homeomorphism_checks():
     assert f.table == (2, 0, 1)
     assert find_homeomorphism(c3, v_poset()) is None
     assert find_homeomorphism(v_poset(), from_cover(3, [(0, 1), (0, 2)])) is None
+    assert find_homeomorphism(c3, chain(2)) is None  # unequal sizes
     assert is_homeomorphism(identity(c3))
     assert not is_homeomorphism(space_map(c3, c3, (0, 0, 2)))
+    assert not is_homeomorphism(SpaceMap(c3, c3, (2, 1, 0)))  # a bijection, not monotone
 

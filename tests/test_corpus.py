@@ -1,24 +1,29 @@
 """The corpus row table: names, one call per check, and the late lookup
 of each checker that a tracer or a spy depends on.  Also: every
-operator that the symbolic set algebras write runs in the corpus."""
+operator that the symbolic set algebras write runs in the corpus, and a
+broken self-check identity in each algebra is an InternalError."""
 
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import pytest
 
 from t0kit import symbolic
 from t0kit.cli import main
-from t0kit.symbolic import corpus
+from t0kit.errors import InternalError
+from t0kit.properties import PropertyReport
+from t0kit.symbolic import alexandrov, corpus, intervals, johnstone
 from t0kit.symbolic.alexandrov import check_cosober_alexandrov
 from t0kit.symbolic.cofinite import check_owf
 from t0kit.symbolic.corpus import ROWS, CorpusRow, run_corpus
-from t0kit.symbolic.intervals import check_kbs_holds
+from t0kit.symbolic.intervals import check_kbs_holds, scott_full
 from t0kit.symbolic.johnstone import check_johnstone_claims
+from t0kit.symbolic.verdicts import refuted
+from t0kit.values import Value
 
 CHECKERS = {f.__name__: f for f in (check_owf, check_cosober_alexandrov, check_kbs_holds,
                                     check_johnstone_claims)}
@@ -87,15 +92,35 @@ def test_a_bad_bound_is_refused_before_any_check_runs(monkeypatch, capsys, bound
     assert "the check bound" in capsys.readouterr().err
 
 
-SKIPPED_DUNDERS = {"__init__", "__post_init__", "__repr__"}
+@pytest.mark.parametrize("module, name, broken, check, identity", [
+    (alexandrov, "union", lambda a, b: b, lambda: check_cosober_alexandrov(bound=4),
+     "up(0) | up(1) is not up(0)"),
+    (intervals, "check_kbs", lambda *args: refuted("planted", "planted", {}),
+     lambda: check_kbs_holds(scott_full()), "check_kbs refutes the prefix [0,3]"),
+    (johnstone, "is_open_well_filtered",
+     lambda sp: PropertyReport("open_well_filtered", False, "planted"),
+     lambda: check_johnstone_claims(4), "johnstone_k1 is not open well-filtered"),
+], ids=["alexandrov", "intervals", "johnstone"])
+def test_a_broken_identity_is_an_internal_error(monkeypatch, capsys, module, name, broken, check,
+                                                identity):
+    # a failed self-check is a bug: never a verdict, and never exit 1 ("refuted")
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(InternalError, match=re.escape(identity)):
+        check()
+    assert main(["corpus", "run", "--bound", "1"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ") and identity in err
+
+
+SKIPPED_DUNDERS = {"__init__", "__repr__"}
 
 
 def unreached_operators(classes, run) -> list[str]:
     """The dunder methods written in the bodies of classes that no call
     reaches while run() runs under sys.setprofile.  A method counts as
     written when its code sits in its class's source file, which leaves
-    out what dataclass generates; __init__, __post_init__ and __repr__
-    are skipped."""
+    out one a class body takes from elsewhere, such as
+    `__hash__ = Value.__hash__`; __init__ and __repr__ are skipped."""
     written = {}
     for cls in classes:
         source = sys.modules[cls.__module__].__file__
@@ -118,9 +143,11 @@ def unreached_operators(classes, run) -> list[str]:
     return sorted(name for code, name in written.items() if code not in reached)
 
 
-@dataclass(frozen=True)
-class Toy:
-    x: int
+class Toy(Value):
+    __slots__ = _fields = ("x",)
+
+    def __init__(self, x):
+        object.__setattr__(self, "x", x)
 
     def __and__(self, other):
         return Toy(self.x & other.x)
@@ -128,9 +155,11 @@ class Toy:
     def __or__(self, other):
         return Toy(self.x | other.x)
 
+    __eq__ = Value.__eq__
+
 
 def test_the_check_sees_an_unreached_operator():
-    # the dataclass's own __eq__, __hash__ and __setattr__ are not written
+    # __eq__ is taken from Value, not written in Toy's body
     assert unreached_operators([Toy], lambda: Toy(1) & Toy(3)) == ["Toy.__or__"]
     assert unreached_operators([Toy], lambda: (Toy(1) & Toy(3)) | Toy(4)) == []
 

@@ -1,8 +1,10 @@
 """No module of t0kit and no test file imports a name it never uses,
-every public name of t0kit has a reader outside the tests, and no
-module of t0kit holds an assert statement.
+every public name of t0kit has a reader outside the tests, no module of
+t0kit holds an assert statement or raises AssertionError, and importing
+t0kit.cli loads neither dataclasses nor inspect.
 
-Each file is parsed, never imported.  A name counts as used when it is
+Each file is parsed, never imported; only the import check runs code,
+in a child interpreter.  A name counts as used when it is
 read anywhere in the file (annotations included) or, for the package
 re-exports, listed in the module's __all__.  `from __future__` imports
 bind no name and are skipped.
@@ -33,7 +35,10 @@ program file calls, such as a documented sweep entry point, is exempt.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -85,22 +90,42 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def raises_assertion_error(node: ast.Raise) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def assert_lines(source: str) -> list[int]:
-    """The lines of source's assert statements, which python -O drops."""
-    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+    """The lines of source's assert statements, which python -O drops,
+    and of its raise AssertionError, which a caller cannot tell from a
+    failed test."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Raise) and raises_assertion_error(node))]
 
 
 def test_the_scan_sees_an_assert():
     assert assert_lines("def f(x):\n    assert x\n    return x\n") == [2]
-    assert assert_lines("def f(x):\n    if not x:\n        raise AssertionError(x)\n") == []
+    assert assert_lines("def f(x):\n    if not x:\n        raise AssertionError(x)\n") == [3]
+    assert assert_lines("def f(x):\n    if not x:\n        raise AssertionError\n") == [3]
+    assert assert_lines("def f(x):\n    if not x:\n        raise InternalError(x)\n"
+                        "    raise\n") == []
 
 
 def test_no_assert_statement_in_src():
-    # a check that must hold also under python -O raises AssertionError itself
+    # a self-check that must hold also under python -O raises InternalError
     found = {str(path.relative_to(ROOT)): lines
              for path in sorted((ROOT / "src" / "t0kit").rglob("*.py"))
              if (lines := assert_lines(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays its import: the two took a third of it
+    code = "import sys, t0kit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def public_names(tree: ast.Module, module: str) -> dict[str, int]:

@@ -56,6 +56,12 @@ def test_render_text_shapes():
     assert "  line one" in lines and "  line two" in lines
 
 
+def test_render_text_of_an_empty_dict_a_list_block_and_a_bare_scalar():
+    assert render_text({}) == "{}"
+    assert render_text(["line one\nline two", "x"]) == "-\n  line one\n  line two\n- x"
+    assert render_text(7) == "7" and render_text("s") == "s"
+
+
 def test_cover_pairs():
     assert cover_pairs(sigma2()) == [(0, 1)]
     c = chain(4)

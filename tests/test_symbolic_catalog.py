@@ -1,7 +1,5 @@
 """Catalog lookup and uniform truncation across the example spaces."""
 
-from dataclasses import replace
-
 import pytest
 
 from t0kit.constructions import find_homeomorphism, subspace
@@ -11,6 +9,7 @@ from t0kit.symbolic.catalog import catalog, catalog_names, truncate
 from t0kit.symbolic.cofinite import (
     CofiniteNat,
     CofiniteSet,
+    IndexedFamily,
     check_owf_refutation,
     empty_set,
     initial_segment_complements,
@@ -191,8 +190,9 @@ def test_verdict_invariants_are_bad_params():
     lambda: JohnstoneOpen(False, frozenset({1.5}), (), "const", 0),
     lambda: JohnstoneOpen(False, frozenset(), (1.5,), "const", 0),
     lambda: JohnstoneOpen(False, frozenset(), (), "const", 1.5),
-    lambda: check_owf_refutation(CofiniteNat(), replace(initial_segment_complements(), start=1.5),
-                                 empty_set(), 4),
+    lambda: check_owf_refutation(CofiniteNat(), IndexedFamily(
+        "complements of initial segments", initial_segment_complements().member, 1.5,
+        "initial_segment_complements"), empty_set(), 4),
 ], ids=["interval-flag", "interval-flag-int", "cofinite-flag", "set-parts", "open-empty-flag",
         "open-top", "open-height", "open-ev-val", "family-start"])
 def test_value_types_refuse_malformed_fields(build):
